@@ -13,7 +13,9 @@ An :class:`EngineCache` owns that reusable state:
 
 * a :class:`~repro.harrier.blockcache.BlockCacheStore` keyed by exact
   code-layout identity, so a second run of the same image starts with
-  every block already translated;
+  every block already translated — plus one plan table per shared
+  image (libc, the startup shim, extra libraries), so a *new* main
+  image still finds every library block it enters already translated;
 * a shared :class:`~repro.taint.tags.TagSetInterner`, so hash-consed
   tag sets and the union memo stay warm across the sweep;
 * an assemble memo handing out images that share their (immutable)
@@ -26,7 +28,10 @@ Sharing an EngineCache is what "each fleet worker owns a warm
 BlockCache/TagSetInterner reused across its shard" means concretely:
 :class:`repro.api.Session` creates one and threads it into every HTH it
 builds.  An EngineCache must only ever be used from one process/thread
-at a time (fleet workers each build their own).
+at a time (fleet workers each build their own).  Translated plans stay
+per engine, never process-wide: a plan's installed summary applier
+closes over this engine's interner.  Only the loader's relocated
+library text is shared process-wide (``repro.kernel.loader``).
 """
 
 from __future__ import annotations

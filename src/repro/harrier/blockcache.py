@@ -7,6 +7,12 @@ is deterministic per image), and swaps them out on execve (counted as a
 flush).  Lookups are one dict probe on the hot path; misses pay the
 translation cost exactly once per block leader.
 
+Library code is translated once per :class:`BlockCacheStore`, not once
+per layout: a layout miss inside a shared object's text (libc, the
+startup shim, extra libraries) is served from that image's
+:class:`PlanTable`, which every layout mapping the same relocated code
+at the same base shares.
+
 Hit/miss/translation counts are kept as plain ints (always, they feed
 the benchmark JSON) and mirrored into ``repro.telemetry`` counters when a
 metrics registry is attached:
@@ -18,10 +24,30 @@ metrics registry is attached:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.isa.memory import FlatMemory
 from repro.isa.translate import BlockPlan, translate_block
+
+
+class PlanTable:
+    """Entry-pc -> translated block, for one placed shared image.
+
+    Sound to share across layouts because a block inside the image is
+    cut only by the image's own leaders and stops at its text end
+    (:attr:`leaders` holds both), so its plan depends on nothing but the
+    relocated code at ``[start, end)`` — which the table's key pins.
+    """
+
+    __slots__ = ("start", "end", "leaders", "plans", "code")
+
+    def __init__(self, loaded) -> None:
+        self.start = loaded.text_start
+        self.end = loaded.text_end
+        self.leaders = loaded.abs_bb_leaders() | {self.end}
+        self.plans: Dict[int, BlockPlan] = {}
+        #: Pins the relocated text whose identity keys this table.
+        self.code = loaded.code
 
 
 class BlockCache:
@@ -29,6 +55,7 @@ class BlockCache:
 
     __slots__ = (
         "leaders",
+        "shared",
         "plans",
         "hits",
         "misses",
@@ -45,10 +72,14 @@ class BlockCache:
         leaders: FrozenSet[int] = frozenset(),
         metrics=None,
         max_blocks: int = 65536,
+        shared: Sequence[PlanTable] = (),
     ) -> None:
         #: Every image's absolute BB-leader set; blocks are cut so they
         #: never run past one, making each leader a stable cache key.
         self.leaders = leaders
+        #: Plan tables of the layout's shared images, consulted on a
+        #: miss inside their text (see :class:`PlanTable`).
+        self.shared: Tuple[PlanTable, ...] = tuple(shared)
         self.plans: Dict[int, BlockPlan] = {}
         self.hits = 0
         self.misses = 0
@@ -89,13 +120,26 @@ class BlockCache:
             if self._c_hits is not None:
                 self._c_hits.inc()
             return plan
-        plan = translate_block(memory, pc, self.leaders)
         self.misses += 1
         if self._c_misses is not None:
             self._c_misses.inc()
+        for table in self.shared:
+            if table.start <= pc < table.end:
+                plan = table.plans.get(pc)
+                if plan is None:
+                    plan = table.plans[pc] = self._translate(
+                        memory, pc, table.leaders
+                    )
+                break
+        else:
+            plan = self._translate(memory, pc, self.leaders)
         if len(self.plans) >= self.max_blocks:
             self.flush()
         self.plans[pc] = plan
+        return plan
+
+    def _translate(self, memory: FlatMemory, pc: int, leaders) -> BlockPlan:
+        plan = translate_block(memory, pc, leaders)
         self.translated_instructions += plan.length
         if self._c_translated is not None:
             self._c_translated.inc(plan.length)
@@ -116,8 +160,12 @@ class BlockCache:
         # How much of the resident cache the dataflow fast path can
         # collapse: no-op blocks (no taint outputs at all) and
         # zero-taint-safe blocks (skippable outright when the shadow
-        # state is clean — no immediate/hardware sources).
-        plans = self.plans.values()
+        # state is clean — no immediate/hardware sources).  Read-only:
+        # only summaries the fast path already built are counted.
+        summaries = [
+            p.built_summary for p in self.plans.values()
+            if p.built_summary is not None
+        ]
         return {
             "blocks": len(self.plans),
             "hits": self.hits,
@@ -125,11 +173,10 @@ class BlockCache:
             "flushes": self.flushes,
             "translated_instructions": self.translated_instructions,
             "hit_rate": self.hit_rate(),
-            "taint_noop_blocks": sum(
-                1 for p in plans if p.taint_summary.is_noop
-            ),
+            "taint_summaries": len(summaries),
+            "taint_noop_blocks": sum(1 for s in summaries if s.is_noop),
             "zero_taint_safe_blocks": sum(
-                1 for p in plans if p.taint_summary.zero_taint_safe
+                1 for s in summaries if s.zero_taint_safe
             ),
         }
 
@@ -144,26 +191,37 @@ class BlockCache:
 
 
 class BlockCacheStore:
-    """Cross-run warm store: code-layout key -> :class:`BlockCache`.
+    """Cross-run warm store: layout caches plus shared-image plan tables.
 
-    A translated plan is valid for exactly one code layout — the same
-    instructions relocated to the same addresses.  The kernel's layout
-    key captures that: the main image's name and the identity of its
-    (immutable, shared) text tuple, plus ``(name, base, text identity)``
-    of every loaded image.  Two runs produce equal keys only when the
-    loader placed identical code identically, which is precisely when
-    reusing the cache is sound.
+    A translated plan is valid for exactly one placement of its code —
+    the same instructions relocated to the same addresses.  Two scopes
+    follow from that:
 
-    Keys embed ``id()`` values, so the store *pins* the keyed images:
-    a strong reference per entry guarantees no id is ever recycled
-    while the store lives.  Stores are single-process state (each fleet
-    worker owns its own); they are never shared across processes.
+    * **Layout caches** (:meth:`get`/:meth:`put`): the kernel's layout
+      key is the main image's name and the identity of its (immutable,
+      shared) text tuple, plus ``(name, base, text identity)`` of every
+      loaded image.  Two runs produce equal keys only when the loader
+      placed identical code identically, which is precisely when reusing
+      the cache is sound.
+    * **Plan tables** (:meth:`table`): one per shared (non-app) image,
+      keyed by ``(name, relocated-text identity, base)``.  The loader
+      memoizes relocated library text per process, so every layout that
+      maps libc at its base names the same table, and a library block is
+      translated once per store instead of once per main image.
+
+    Keys embed ``id()`` values, so the store *pins* the keyed objects: a
+    strong reference per entry guarantees no id is ever recycled while
+    the store lives.  Stores are single-process, single-engine state
+    (each ``EngineCache``, fleet worker and serve worker owns its own),
+    never process-wide: a plan's installed ``taint_apply`` closes over
+    one engine's ``TagSetInterner``.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_tables")
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, tuple] = {}
+        self._tables: Dict[tuple, PlanTable] = {}
 
     def get(self, key: tuple) -> Optional["BlockCache"]:
         entry = self._entries.get(key)
@@ -172,10 +230,20 @@ class BlockCacheStore:
     def put(self, key: tuple, cache: "BlockCache", pins: tuple = ()) -> None:
         self._entries[key] = (cache, pins)
 
+    def table(self, loaded) -> PlanTable:
+        """The plan table for a placed shared image, created on first use
+        (``loaded`` is a :class:`repro.kernel.loader.LoadedImage`)."""
+        key = (loaded.name, id(loaded.code), loaded.base)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = PlanTable(loaded)
+        return table
+
     def stats(self) -> Dict[str, object]:
         """Aggregate counters across every stored cache."""
         totals = {
             "caches": len(self._entries),
+            "plan_tables": len(self._tables),
             "blocks": 0,
             "hits": 0,
             "misses": 0,

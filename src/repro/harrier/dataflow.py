@@ -180,6 +180,22 @@ class InstructionDataFlow:
             applier = self.install_applier(plan)
         return applier(shadow, rec)
 
+    def defer_summary(self, shadow: ProcessShadow, rec: BlockRecord) -> bool:
+        """Applier stand-in for a block never fully executed before.
+
+        Declines, so the caller replays the templates (the exact path),
+        and arms the block: its *second* full execution builds the
+        summary and installs the compiled applier.  Most translated
+        blocks run once, and a block that runs once never pays for a
+        summary.
+        """
+        rec.plan.taint_apply = self._install_and_apply
+        return False
+
+    def _install_and_apply(self, shadow: ProcessShadow,
+                           rec: BlockRecord) -> bool:
+        return self.install_applier(rec.plan)(shadow, rec)
+
     def install_applier(self, plan):
         """Compile one block's :class:`TaintSummary` into an applier
         closure — ``applier(shadow, rec) -> bool`` — and cache it on

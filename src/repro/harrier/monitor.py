@@ -242,7 +242,9 @@ class Harrier(KernelHooks):
         CALL/RET (those always end a block, so register state at hook
         time matches the per-step path), and BB frequency is observed
         once at the block's entry pc — interior pcs are never leaders by
-        construction of the translation cut.
+        construction of the translation cut.  The summary fast path
+        starts at a block's second full execution
+        (``InstructionDataFlow.defer_summary``).
         """
         if rec.executed == 0:
             return
@@ -260,8 +262,7 @@ class Harrier(KernelHooks):
                     self._fastpath
                     and rec.executed == plan.length
                     and (
-                        plan.taint_apply
-                        or self.dataflow.install_applier(plan)
+                        plan.taint_apply or self.dataflow.defer_summary
                     )(shadow, rec)
                 ):
                     self.fastpath_blocks += 1
@@ -301,14 +302,19 @@ class Harrier(KernelHooks):
         """Apply one block's taint effects, fast path first.
 
         The summary fast path is valid only for full executions (a
-        partial block's templates were only partially applied) and bails
-        on intra-block load/store aliasing; everything else replays the
-        templates per transfer.
+        partial block's templates were only partially applied), starts
+        at a block's second full execution (see
+        ``InstructionDataFlow.defer_summary``) and bails on intra-block
+        load/store aliasing; everything else replays the templates per
+        transfer.
         """
+        plan = rec.plan
         if (
             self._fastpath
-            and rec.executed == rec.plan.length
-            and self.dataflow.apply_summary(shadow, rec)
+            and rec.executed == plan.length
+            and (
+                plan.taint_apply or self.dataflow.defer_summary
+            )(shadow, rec)
         ):
             self.fastpath_blocks += 1
             return

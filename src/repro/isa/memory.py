@@ -12,7 +12,7 @@ guest-program builders all need them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.isa.instructions import Instruction
 
@@ -97,15 +97,17 @@ class FlatMemory:
         return len(data)
 
     # -- code -------------------------------------------------------------
-    def map_code(self, base: int, instructions: Iterable[Instruction]) -> int:
-        count = 0
-        for i, instr in enumerate(instructions):
-            addr = base + i
-            if addr in self.code:
-                raise MemoryFault(f"code overlap at {addr:#x}")
-            self.code[addr] = instr
-            count += 1
-        return count
+    def map_code(
+        self, base: int, instructions: Sequence[Instruction]
+    ) -> int:
+        """Map ``instructions`` at ``base``; all or nothing on overlap."""
+        code = self.code
+        addrs = range(base, base + len(instructions))
+        if not code.keys().isdisjoint(addrs):
+            addr = next(a for a in addrs if a in code)
+            raise MemoryFault(f"code overlap at {addr:#x}")
+        code.update(zip(addrs, instructions))
+        return len(instructions)
 
     def fetch(self, addr: int) -> Instruction:
         instr = self.code.get(addr)

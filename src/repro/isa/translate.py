@@ -97,7 +97,7 @@ TOK_HW: Tuple[str] = ("hw",)
 class TaintSummary:
     """Block-level taint liveness: what a block reads, loads, and writes.
 
-    Computed once at translation time by abstract interpretation of the
+    Computed once per block, on first use, by abstract interpretation of the
     block's taint templates.  Every destination the block writes gets a
     *support expression* — the set of entry-state tokens whose union is
     the destination's final tag set, with intra-block register chains
@@ -221,9 +221,11 @@ def summarize_taint(
             else:
                 mem_writes.append((idx, frozenset(tokens)))
                 write_holes.append(idx)
-    # Deterministic token order keeps evaluation reproducible.
+    # Deterministic token order keeps evaluation reproducible.  Natural
+    # tuple order is total here: tokens of one kind share a payload type
+    # (register names, hole indices), so holes sort numerically.
     def _ordered(tokens: frozenset) -> Tuple[tuple, ...]:
-        return tuple(sorted(tokens, key=lambda t: (t[0], str(t[1:]))))
+        return tuple(sorted(tokens))
 
     return TaintSummary(
         live_in=tuple(reads),
@@ -291,7 +293,7 @@ class BlockPlan:
         "body_ops",
         "term_op",
         "taint",
-        "taint_summary",
+        "built_summary",
         "taint_apply",
         "length",
     )
@@ -311,15 +313,26 @@ class BlockPlan:
         self.body_ops = body_ops
         self.term_op = term_op
         self.taint = taint
-        #: Block-level liveness/fold summary for the zero-taint fast path.
-        self.taint_summary = summarize_taint(taint)
+        #: The :class:`TaintSummary` once :attr:`taint_summary` has built
+        #: it, else None — diagnostics read this to avoid building one.
+        self.built_summary: Optional[TaintSummary] = None
         #: The compiled summary applier, installed lazily by the fast
-        #: path (``InstructionDataFlow.apply_summary``) the first time
-        #: this block's taint effects are applied — a closure shaped to
-        #: this block's summary, with its own entry-values memo, just as
-        #: ``body_ops`` are closures shaped to the instructions.
+        #: path (``InstructionDataFlow.install_applier``) — a closure
+        #: shaped to this block's summary, with its own entry-values
+        #: memo, just as ``body_ops`` are closures shaped to the
+        #: instructions.  Harrier defers it to the block's second full
+        #: execution, so a block run once never pays for a summary.
         self.taint_apply = None
         self.length = len(pcs)
+
+    @property
+    def taint_summary(self) -> TaintSummary:
+        """Block-level liveness/fold summary for the fast path, built on
+        first access (most translated blocks never need one)."""
+        summary = self.built_summary
+        if summary is None:
+            summary = self.built_summary = summarize_taint(self.taint)
+        return summary
 
     # -- execution --------------------------------------------------------
     def execute(self, cpu, limit: int) -> BlockRecord:

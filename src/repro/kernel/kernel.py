@@ -144,9 +144,10 @@ class Kernel:
         #: One BlockCache per main-executable image, keyed by identity and
         #: shared by every process running that image (fork included).
         self._block_caches: Dict[int, Tuple[Image, object]] = {}
-        #: Optional cross-run warm store (``repro.harrier.blockcache
+        #: Cross-run warm store (``repro.harrier.blockcache
         #: .BlockCacheStore``, owned by an ``EngineCache``): caches for
         #: identical code layouts are reused instead of retranslated.
+        #: None makes a private store on first use.
         self._block_cache_store = block_cache_store
         #: Times a process's cache was invalidated (execve swaps images).
         self.block_cache_flushes = 0
@@ -174,41 +175,50 @@ class Kernel:
         addresses, same libraries), so every process running the same
         image sees identical code at identical pcs and one cache serves
         them all.  Block cutting stops at every image's BB leaders so a
-        later entry at a leader always lands on a cache key.
+        later entry at a leader always lands on a cache key.  Blocks of
+        shared images come from the store's per-image plan tables, so
+        library code is translated once per store, not once per image.
         """
         entry = self._block_caches.get(id(image))
         if entry is not None and entry[0] is image:
             return entry[1]
         # Imported lazily: repro.harrier pulls in the monitor stack, which
         # imports this module.
-        from repro.harrier.blockcache import BlockCache
+        from repro.harrier.blockcache import BlockCache, BlockCacheStore
 
         store = self._block_cache_store
-        if store is not None:
-            # Exact layout identity: the loader is deterministic, so two
-            # runs whose images share text tuples and bases see the same
-            # code at the same pcs — the only condition under which a
-            # translated plan may be reused (see BlockCacheStore).
-            key = (
-                image.name,
-                id(image.text),
-                tuple(
-                    (li.image.name, li.base, id(li.image.text))
-                    for li in image_map
-                ),
-            )
-            cache = store.get(key)
-            if cache is not None:
-                cache.bind_metrics(self._metrics)
-                self._block_caches[id(image)] = (image, cache)
-                return cache
-        leaders = set()
-        for loaded in image_map:
-            leaders.update(loaded.abs_bb_leaders())
-        cache = BlockCache(
-            leaders=frozenset(leaders), metrics=self._metrics
+        if store is None:
+            # No warm store handed in: a private one still shares
+            # library plans between this machine's images.
+            store = self._block_cache_store = BlockCacheStore()
+        # Exact layout identity: the loader is deterministic, so two
+        # runs whose images share text tuples and bases see the same
+        # code at the same pcs — the only condition under which a
+        # translated plan may be reused (see BlockCacheStore).
+        key = (
+            image.name,
+            id(image.text),
+            tuple(
+                (li.image.name, li.base, id(li.image.text))
+                for li in image_map
+            ),
         )
-        if store is not None:
+        cache = store.get(key)
+        if cache is not None:
+            cache.bind_metrics(self._metrics)
+        else:
+            leaders = set()
+            for loaded in image_map:
+                leaders.update(loaded.abs_bb_leaders())
+            cache = BlockCache(
+                leaders=frozenset(leaders),
+                metrics=self._metrics,
+                shared=[
+                    store.table(loaded)
+                    for loaded in image_map
+                    if not loaded.is_app
+                ],
+            )
             store.put(
                 key, cache, pins=tuple(li.image for li in image_map)
             )

@@ -10,7 +10,8 @@ it reports *what* it mapped and the monitor does the tagging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +41,12 @@ class LoadedImage:
     #: startup shim.  Harrier's BB-frequency module counts only app blocks
     #: (paper section 7.4).
     is_app: bool
+    #: The relocated text as mapped at ``base``.  For a non-app image it
+    #: is the process-wide memoized tuple (see :func:`_relocated_text`),
+    #: so its identity names "this code at this address" across loads.
+    code: Tuple[Instruction, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -149,6 +156,48 @@ def _make_shim(main_addr: int) -> Image:
     )
 
 
+#: Relocated text of non-app images, shared by every load in the process:
+#: (source text id, relocations id, base, resolved targets) ->
+#: (source text, relocations, relocated text).  Each entry pins the
+#: objects whose ids it is keyed by, so no id is recycled while it lives.
+_RELOCATED: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: Bound on the memo, like ``_make_shim``'s cache.
+_RELOCATED_MAX = 64
+
+
+def _relocated_text(
+    image: Image, base: int, targets: Tuple[int, ...]
+) -> Tuple[Instruction, ...]:
+    """``image.text`` with every text relocation patched to ``targets``.
+
+    Memoized (LRU, :data:`_RELOCATED_MAX` entries) so libc, the startup
+    shim and extra libraries are relocated once per process, and every
+    load hands out the *same* tuple — the identity the block-cache
+    store's per-image plan tables are keyed by.
+    """
+    key = (id(image.text), id(image.text_relocations), base, targets)
+    entry = _RELOCATED.get(key)
+    if entry is not None:
+        _RELOCATED.move_to_end(key)
+        return entry[2]
+    patched = _patch(image, targets)
+    _RELOCATED[key] = (image.text, image.text_relocations, patched)
+    if len(_RELOCATED) > _RELOCATED_MAX:
+        _RELOCATED.popitem(last=False)
+    return patched
+
+
+def _patch(image: Image, targets: Tuple[int, ...]) -> Tuple[Instruction, ...]:
+    if not targets:
+        return tuple(image.text)
+    patched: List[Instruction] = list(image.text)
+    for reloc, target in zip(image.text_relocations, targets):
+        instr = patched[reloc.index]
+        new_imm = Imm(target, symbol=reloc.symbol)
+        patched[reloc.index] = replace(instr, **{reloc.slot: new_imm})
+    return tuple(patched)
+
+
 @dataclass
 class LoadResult:
     """What the loader produced for one exec image."""
@@ -187,11 +236,9 @@ class Loader:
         if main_addr is None:
             raise LoaderError(f"{program.name}: no 'main' symbol")
         shim = LoadedImage(_make_shim(main_addr), _SHIM_BASE, is_app=False)
-        loaded = [shim] + placements
+        symbols = ImageMap([shim] + placements)
+        loaded = [self._map_one(memory, li, symbols) for li in symbols]
         image_map = ImageMap(loaded)
-
-        for li in loaded:
-            self._map_one(memory, li, image_map)
 
         sp = self._build_initial_stack(memory, argv, env)
         return LoadResult(
@@ -204,33 +251,37 @@ class Loader:
 
     # -- internals -----------------------------------------------------------
     def _map_one(
-        self, memory: FlatMemory, li: LoadedImage, image_map: ImageMap
-    ) -> None:
+        self, memory: FlatMemory, li: LoadedImage, symbols: ImageMap
+    ) -> LoadedImage:
+        """Relocate and map one placed image; returns it with its code."""
         image = li.image
 
         def resolve(symbol: str) -> int:
             local = li.symbol_addr(symbol)
             if local is not None:
                 return local
-            addr = image_map.symbol_addr(symbol)
+            addr = symbols.symbol_addr(symbol)
             if addr is None:
                 raise LoaderError(
                     f"{image.name}: unresolved symbol {symbol!r}"
                 )
             return addr
 
-        patched: List[Instruction] = list(image.text)
-        for reloc in image.text_relocations:
-            instr = patched[reloc.index]
-            target = resolve(reloc.symbol)
-            new_imm = Imm(target, symbol=reloc.symbol)
-            patched[reloc.index] = replace(instr, **{reloc.slot: new_imm})
-
-        memory.map_code(li.base, patched)
+        targets = tuple(
+            resolve(reloc.symbol) for reloc in image.text_relocations
+        )
+        if li.is_app:
+            # The program under test is relocated afresh on every load:
+            # only shared code is memoized (a cold run stays cold).
+            code = _patch(image, targets)
+        else:
+            code = _relocated_text(image, li.base, targets)
+        memory.map_code(li.base, code)
         for off, value in image.data.items():
             memory.write(li.base + off, value)
         for dreloc in image.data_relocations:
             memory.write(li.base + dreloc.offset, resolve(dreloc.symbol))
+        return LoadedImage(image, li.base, li.is_app, code)
 
     @staticmethod
     def _build_initial_stack(

@@ -9,10 +9,13 @@ scenario registries through both engines and both dataflow paths and
 asserts the *full* report fingerprint matches: verdict, warnings,
 events, console output, fault log, virtual clock, per-process exit
 codes, and the monitor's internal shadow state (BB counters,
-register/memory tags).
+register/memory tags).  A last test shares one warm engine across the
+whole matrix, so translated plans (library plan tables included) and
+installed summary appliers are reused across layouts.
 """
 
 import importlib
+import random
 
 import pytest
 
@@ -57,17 +60,18 @@ def _shadow_fingerprint(hth):
 
 
 def _run_fingerprint(workload, block_cache, taint_fastpath=True,
-                     provenance=True):
+                     provenance=True, engine=None):
     from repro.core.options import RunOptions
 
     hth = workload.build_machine(
         options=RunOptions(
             block_cache=block_cache, taint_fastpath=taint_fastpath,
             provenance=provenance,
-        )
+        ),
+        engine=engine,
     )
     report = hth.run(
-        workload.image(),
+        workload.image(engine=engine),
         argv=workload.argv or [workload.program_path],
         env=workload.env,
         stdin=workload.stdin,
@@ -140,3 +144,36 @@ def test_provenance_recorder_is_transparent(workload):
         assert on[key] == off[key], (
             f"{workload.name}: {key} diverges when provenance is disabled"
         )
+
+
+@pytest.mark.parametrize("taint_fastpath", [True, False],
+                         ids=["fastpath", "slowpath"])
+def test_shared_engine_is_indistinguishable(taint_fastpath):
+    """Every workload twice on one EngineCache, in a seeded shuffled
+    order: each run must equal that workload's fresh-machine run.
+
+    Exercises what the per-workload tests cannot: cached layouts, shared
+    library plan tables and installed summary appliers carried from one
+    machine (and one main image) into the next.
+    """
+    from repro.core.engine import EngineCache
+
+    params = _all_workloads()
+    fresh = {
+        p.id: _run_fingerprint(
+            p.values[0], block_cache=True, taint_fastpath=taint_fastpath
+        )
+        for p in params
+    }
+    order = params * 2
+    random.Random(2006).shuffle(order)
+    engine = EngineCache()
+    for p in order:
+        shared = _run_fingerprint(
+            p.values[0], block_cache=True, taint_fastpath=taint_fastpath,
+            engine=engine,
+        )
+        for key in shared:
+            assert shared[key] == fresh[p.id][key], (
+                f"{p.id}: {key} diverges on a shared engine"
+            )

@@ -101,6 +101,13 @@ class TestCode:
         with pytest.raises(MemoryFault):
             mem.map_code(0, [Instruction(Opcode.NOP)])
 
+    def test_overlap_maps_nothing_and_names_first_clash(self):
+        mem = FlatMemory()
+        mem.map_code(2, [Instruction(Opcode.NOP)])
+        with pytest.raises(MemoryFault, match="code overlap at 0x2"):
+            mem.map_code(0, [Instruction(Opcode.HLT)] * 4)
+        assert sorted(mem.code) == [2]
+
     def test_copy_shares_instructions_but_not_cells(self):
         mem = FlatMemory()
         nop = Instruction(Opcode.NOP)

@@ -384,3 +384,40 @@ class TestBudget:
         assert rec.kind == EXIT_CONTINUE
         assert rec.executed == plan.length
         assert rec.next_pc == 0
+
+
+class TestTaintSummary:
+    def test_built_on_first_access_only(self, monkeypatch):
+        import repro.isa.translate as translate
+
+        calls = []
+        real = translate.summarize_taint
+        monkeypatch.setattr(
+            translate, "summarize_taint",
+            lambda taint: calls.append(taint) or real(taint),
+        )
+        mem = make_memory([
+            Instruction(Opcode.MOV, Reg("ebx"), Reg("eax")),
+            Instruction(Opcode.RET),
+        ])
+        plan = translate_block(mem, 0)
+        assert plan.built_summary is None and calls == []
+        summary = plan.taint_summary
+        assert plan.taint_summary is summary is plan.built_summary
+        assert calls == [plan.taint]
+
+    def test_support_tokens_sort_holes_numerically(self):
+        # Eleven loads (holes 0..10); ecx = mem2 | mem10.  A string sort
+        # would put hole 10 before hole 2.
+        loads = [
+            Instruction(Opcode.LOAD, Reg("edx"), Mem("esp", i))
+            for i in range(11)
+        ]
+        loads[2] = Instruction(Opcode.LOAD, Reg("ecx"), Mem("esp", 2))
+        loads[10] = Instruction(Opcode.LOAD, Reg("esi"), Mem("esp", 10))
+        mem = make_memory(loads + [
+            Instruction(Opcode.ADD, Reg("ecx"), Reg("esi")),
+            Instruction(Opcode.RET),
+        ])
+        writes = dict(translate_block(mem, 0).taint_summary.reg_writes)
+        assert writes["ecx"] == (("mem", 2), ("mem", 10))

@@ -86,6 +86,47 @@ class TestRelocation:
             Loader([]).load(FlatMemory(), app, argv=[], env={})
 
 
+class TestSharedRelocation:
+    def _load(self, lib, source=APP_SOURCE):
+        memory = FlatMemory()
+        app = assemble("/bin/app", source)
+        result = Loader([lib]).load(memory, app, argv=["/bin/app"], env={})
+        return {li.name: li for li in result.image_map}, memory
+
+    def test_library_relocated_once_per_process(self):
+        # Two different main images, one library with a text relocation.
+        lib = assemble("/lib/x.so", "f:\n    call h\nh:\n    ret\n")
+        first, _ = self._load(lib, "main:\n    call f\n    ret\n")
+        second, _ = self._load(lib, "main:\n    call h\n    ret\n")
+        assert first["/lib/x.so"].code is second["/lib/x.so"].code
+        assert first["[startup]"].code is second["[startup]"].code
+        assert first["/lib/x.so"].code[0].a.value == LIBRARY_BASE + 1
+
+    def test_app_relocated_per_load(self):
+        lib = assemble("/lib/test.so", LIB_SOURCE)
+        first, _ = self._load(lib)
+        second, _ = self._load(lib)
+        assert first["/bin/app"].code is not second["/bin/app"].code
+        assert first["/bin/app"].code == second["/bin/app"].code
+
+    def test_mapped_code_is_the_relocated_tuple(self):
+        lib = assemble("/lib/test.so", LIB_SOURCE)
+        images, memory = self._load(lib)
+        for li in images.values():
+            for i, instr in enumerate(li.code):
+                assert memory.fetch(li.base + i) is instr
+
+    def test_relocation_targets_key_the_memo(self):
+        # Same library text resolved against different symbol tables
+        # must not share a relocated tuple.
+        lib = assemble("/lib/x.so", "f:\n    call g\n    ret\n")
+        app_a = "main:\n    ret\ng:\n    ret\n"
+        app_b = "main:\n    nop\n    ret\ng:\n    ret\n"
+        a, _ = self._load(lib, app_a)
+        b, _ = self._load(lib, app_b)
+        assert a["/lib/x.so"].code[0].a.value != b["/lib/x.so"].code[0].a.value
+
+
 class TestInitialStack:
     def test_argc_argv_envp_layout(self, loaded):
         memory, result, app, lib = loaded
