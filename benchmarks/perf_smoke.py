@@ -23,6 +23,12 @@ when either property breaks:
   translated more than once, or the number of taint summaries built
   differs from the number of blocks fully executed at least twice by a
   fast-path monitor (structural counts, no wall clock);
+* on a warm Session running the Section 9 workload, block-cache
+  lookups (one per dispatch) per retired instruction exceed
+  :data:`SUPERBLOCK_DISPATCHES`, no superblock is resident, or a block
+  is translated after the first run — superblock fusion must reuse
+  translated blocks, never re-translate (structural counts, no wall
+  clock);
 * a warm verdict-cache hit on the Section 9 workload is not at least
   :data:`VERDICT_CACHE_SPEEDUP` times faster than executing it, is not
   bit-identical to the executed report, or the ``cache_*`` counter
@@ -93,6 +99,15 @@ RECORDER_ENTRY_POINTS = (
     "__init__", "record_source", "observe_event", "observe_block",
     "evidence_for",
 )
+
+#: Block-cache lookups per retired instruction on the warm Section 9
+#: workload: 0.291 before superblocks (~3.4 instructions per dispatch),
+#: 0.153 with them.
+SUPERBLOCK_DISPATCHES = 0.17
+#: Runs on the warm Session after the translating one, the last counted
+#: (inner loops fuse in the first run; chains entered 20 times a run
+#: reach ``FUSE_AFTER`` a few runs later).
+SUPERBLOCK_RUNS = 5
 
 #: A warm verdict-cache hit (p50 over many lookups) must beat fresh
 #: execution of the Section 9 workload by at least this factor — a hit
@@ -420,6 +435,67 @@ def check_cold_path() -> int:
     return 0
 
 
+def check_superblock() -> int:
+    """Hot chains run as superblocks: fewer dispatches, no translation.
+
+    One warm Session over the Section 9 workload.  Structural counts
+    only: ``translate_block`` calls (as bound in the block cache), the
+    store's lookup counters and the guest's retired instructions.
+    """
+    import repro.harrier.blockcache as blockcache
+    from benchmarks.bench_performance import WORKLOAD_SOURCE
+    from repro.api import Session
+
+    session = Session()
+    store = session.engine.block_caches
+    with counting_calls(
+        blockcache, ["translate_block"],
+        key=lambda _name, _memory, start, *_: start,
+    ) as first_run:
+        session.run(WORKLOAD_SOURCE, path="/bin/perf")
+    with counting_calls(blockcache, ["translate_block"]) as warm_runs:
+        for _ in range(SUPERBLOCK_RUNS):
+            before = store.stats()
+            report = session.run(WORKLOAD_SOURCE, path="/bin/perf")
+            after = store.stats()
+    lookups = (after["hits"] + after["misses"]
+               - before["hits"] - before["misses"])
+    instructions = report.result.instructions
+    ratio = lookups / instructions
+    retranslated = sorted(pc for pc, n in first_run.items() if n != 1)
+    print(
+        f"perf smoke: superblocks on the warm Section 9 workload: "
+        f"{lookups} lookups / {instructions} instructions = {ratio:.3f} "
+        f"per instruction; {after['superblocks']} superblocks resident; "
+        f"{len(first_run)} blocks translated "
+        f"{sum(first_run.values())} times, then "
+        f"{sum(warm_runs.values())} times in {SUPERBLOCK_RUNS} warm runs"
+    )
+    if report.exit_code != 0 or not report.warnings:
+        print("FAIL: the Section 9 workload misbehaved", file=sys.stderr)
+        return 1
+    if retranslated or sum(warm_runs.values()):
+        print(
+            "FAIL: a block was translated again (superblock fusion must "
+            f"reuse translated blocks): {retranslated[:10]}",
+            file=sys.stderr,
+        )
+        return 1
+    if not after["superblocks"] or ratio > SUPERBLOCK_DISPATCHES:
+        print(
+            f"FAIL: {ratio:.3f} block-cache lookups per instruction "
+            f"(gate {SUPERBLOCK_DISPATCHES}) with "
+            f"{after['superblocks']} superblocks resident",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"ok: <= {SUPERBLOCK_DISPATCHES} dispatches per instruction on "
+        "the warm Section 9 workload, and fusion translates nothing"
+    )
+    return 0
+
+
 def check_verdict_cache() -> int:
     """Warm hits are bit-identical, ~free, and visible in OpenMetrics."""
     from benchmarks.bench_performance import WORKLOAD_SOURCE
@@ -578,6 +654,7 @@ CHECKS = {
     "fleet": check_fleet,
     "provenance": check_provenance,
     "cold_path": check_cold_path,
+    "superblock": check_superblock,
     "verdict_cache": check_verdict_cache,
     "rule_engine": check_rule_engine,
 }

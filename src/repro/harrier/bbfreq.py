@@ -23,6 +23,19 @@ class CodeExecutionPatterns:
             shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
             shadow.last_app_bb = pc
 
+    def observe_leads(self, shadow: ProcessShadow, leads,
+                      executed: int) -> None:
+        """:meth:`observe` every superblock leader (``(offset, pc)``
+        pairs, in order) whose first instruction retired."""
+        app_leaders = shadow.app_leaders
+        counts = shadow.bb_counts
+        for offset, pc in leads:
+            if offset >= executed:
+                return
+            if pc in app_leaders:
+                counts[pc] = counts.get(pc, 0) + 1
+                shadow.last_app_bb = pc
+
     def event_context(self, shadow: ProcessShadow) -> Tuple[int, str]:
         """(frequency, address) attached to an outgoing event.
 

@@ -13,6 +13,17 @@ startup shim, extra libraries) is served from that image's
 :class:`PlanTable`, which every layout mapping the same relocated code
 at the same base shares.
 
+Hot single-successor chains become *superblocks* (PIN's trace
+granularity): a block that ends in ``JMP imm`` or a cut fall-through and
+has been entered :data:`FUSE_AFTER` times is fused, without
+re-translation, with the chain of resident blocks that statically
+follows it (:class:`repro.isa.translate.Superblock`), and the superblock
+replaces it in the layout cache.  A chain never spans two images, never
+repeats a block leader and is capped at ``MAX_BLOCK_LEN`` instructions;
+conditional jumps, CALL, RET, INT and HLT can only end one.  Plan tables keep only
+translated blocks.  A superblock whose dataflow fast path keeps
+declining is demoted back to its head block (:meth:`BlockCache.decline`).
+
 Hit/miss/translation counts are kept as plain ints (always, they feed
 the benchmark JSON) and mirrored into ``repro.telemetry`` counters when a
 metrics registry is attached:
@@ -27,7 +38,29 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.isa.memory import FlatMemory
-from repro.isa.translate import BlockPlan, translate_block
+from repro.isa.translate import (
+    MAX_BLOCK_LEN,
+    BlockPlan,
+    Superblock,
+    translate_block,
+)
+
+#: Entries (the translating miss included) after which a block with a
+#: static successor is fused into a superblock.  A superblock costs a
+#: template replay, a summary and an applier before it saves anything,
+#: about what ~40 saved dispatches are worth, and cold code rarely runs
+#: that long after turning hot: on the 62-workload matrix on fresh
+#: Sessions, a chain fused at 16 entries ran a median of 9 more times.
+#: At 128 that matrix fuses one chain, while a warm Session fuses the
+#: same chains a few runs later.
+FUSE_AFTER = 128
+
+#: Full executions of a superblock on which the dataflow fast path may
+#: decline — the first always does, deferring the summary — before the
+#: superblock is demoted to its head block.  A superblock that keeps
+#: bailing on a load/store alias across a former block boundary would
+#: otherwise replay its templates every time, slower than its parts.
+DEMOTE_AFTER = 4
 
 
 class PlanTable:
@@ -61,6 +94,7 @@ class BlockCache:
         "misses",
         "flushes",
         "translated_instructions",
+        "demotions",
         "max_blocks",
         "_c_hits",
         "_c_misses",
@@ -85,6 +119,7 @@ class BlockCache:
         self.misses = 0
         self.flushes = 0
         self.translated_instructions = 0
+        self.demotions = 0
         #: Defensive bound; a full cache is flushed wholesale, like PIN's
         #: code cache under pressure.
         self.max_blocks = max_blocks
@@ -119,6 +154,10 @@ class BlockCache:
             self.hits += 1
             if self._c_hits is not None:
                 self._c_hits.inc()
+            if plan.heat:
+                plan.heat -= 1
+                if not plan.heat:
+                    plan = self._fuse(plan)
             return plan
         self.misses += 1
         if self._c_misses is not None:
@@ -140,10 +179,60 @@ class BlockCache:
 
     def _translate(self, memory: FlatMemory, pc: int, leaders) -> BlockPlan:
         plan = translate_block(memory, pc, leaders)
+        if plan.link_op is not None:
+            plan.heat = FUSE_AFTER - 1
         self.translated_instructions += plan.length
         if self._c_translated is not None:
             self._c_translated.inc(plan.length)
         return plan
+
+    def _fuse(self, head: BlockPlan) -> BlockPlan:
+        """Replace ``head`` with the superblock of its resident static
+        chain; returns what now serves ``head.start``.  Fusion is tried
+        once per block: ``head.heat`` stays 0 either way."""
+        image = self._image_of(head.start)
+        parts = [head]
+        leaders = {head.start}
+        length = head.length
+        tail = head
+        while tail.link_op is not None:
+            resident = self.plans.get(tail.successor())
+            if resident is None:
+                break
+            # A resident superblock at the successor contributes its
+            # head; the walk then continues through its own chain.
+            part = resident if resident.parts is None else resident.parts[0]
+            length += part.length
+            if (
+                part.start in leaders
+                or length > MAX_BLOCK_LEN
+                or self._image_of(part.start) is not image
+            ):
+                break
+            parts.append(part)
+            leaders.add(part.start)
+            tail = part
+        if len(parts) == 1:
+            return head
+        plan = self.plans[head.start] = Superblock(parts)
+        return plan
+
+    def _image_of(self, pc: int) -> Optional[PlanTable]:
+        """The shared image whose text holds ``pc``; None for the main
+        image (the only one without a plan table)."""
+        for table in self.shared:
+            if table.start <= pc < table.end:
+                return table
+        return None
+
+    def decline(self, plan: Superblock) -> None:
+        """A full execution of superblock ``plan`` declined the dataflow
+        fast path; demote it to its head block once that has happened
+        :data:`DEMOTE_AFTER` times (the head is never fused again)."""
+        plan.declines += 1
+        if plan.declines == DEMOTE_AFTER:
+            self.plans[plan.start] = plan.parts[0]
+            self.demotions += 1
 
     def flush(self) -> None:
         """Drop every translated block (refilled lazily on next lookup)."""
@@ -168,6 +257,10 @@ class BlockCache:
         ]
         return {
             "blocks": len(self.plans),
+            "superblocks": sum(
+                1 for p in self.plans.values() if p.parts is not None
+            ),
+            "demotions": self.demotions,
             "hits": self.hits,
             "misses": self.misses,
             "flushes": self.flushes,
@@ -245,12 +338,14 @@ class BlockCacheStore:
             "caches": len(self._entries),
             "plan_tables": len(self._tables),
             "blocks": 0,
+            "superblocks": 0,
             "hits": 0,
             "misses": 0,
             "translated_instructions": 0,
         }
         for cache, _pins in self._entries.values():
             totals["blocks"] += len(cache)
+            totals["superblocks"] += cache.stats()["superblocks"]
             totals["hits"] += cache.hits
             totals["misses"] += cache.misses
             totals["translated_instructions"] += (

@@ -241,8 +241,10 @@ class Harrier(KernelHooks):
         short-circuit sees the record only when its terminator was a
         CALL/RET (those always end a block, so register state at hook
         time matches the per-step path), and BB frequency is observed
-        once at the block's entry pc — interior pcs are never leaders by
-        construction of the translation cut.  The summary fast path
+        once per block leader whose first instruction retired — the
+        entry pc of a translated block (interior pcs are never leaders
+        by construction of the translation cut), each constituent's
+        leader in a superblock (``plan.leads``).  The summary fast path
         starts at a block's second full execution
         (``InstructionDataFlow.defer_summary``).
         """
@@ -266,28 +268,50 @@ class Harrier(KernelHooks):
                     )(shadow, rec)
                 ):
                     self.fastpath_blocks += 1
-                    if self._prov is not None:
-                        self._prov.observe_block(plan)
+                    prov = self._prov
+                    if prov is not None and plan not in prov.seen_plans:
+                        prov.observe_block(plan)
                 else:
                     self.slowpath_blocks += 1
                     self.dataflow.apply_block(shadow, rec)
+                    if plan.parts is not None and self._fastpath:
+                        self._declined(proc, rec)
                 if self._short_circuit and (
                     rec.call_target is not None
                     or rec.ret_target is not None
                 ):
                     self.routines.on_step(proc, shadow, rec)
             if self._track_bb:
-                # self.bbfreq.observe, inlined.
-                pc = plan.start
-                if pc in shadow.app_leaders:
-                    shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
-                    shadow.last_app_bb = pc
+                leads = plan.leads
+                if leads is None:
+                    # self.bbfreq.observe, inlined.
+                    pc = plan.start
+                    if pc in shadow.app_leaders:
+                        shadow.bb_counts[pc] = shadow.bb_counts.get(pc, 0) + 1
+                        shadow.last_app_bb = pc
+                else:
+                    # self.bbfreq.observe_leads, inlined.
+                    executed = rec.executed
+                    app_leaders = shadow.app_leaders
+                    for offset, pc in leads:
+                        if offset >= executed:
+                            break
+                        if pc in app_leaders:
+                            shadow.bb_counts[pc] = (
+                                shadow.bb_counts.get(pc, 0) + 1
+                            )
+                            shadow.last_app_bb = pc
             return
         prof = self._profiler
         config = self.config
         if config.track_dataflow:
             t0 = perf_counter()
-            self._apply_block_dataflow(shadow, rec)
+            if (
+                not self._apply_block_dataflow(shadow, rec)
+                and rec.plan.parts is not None
+                and self._fastpath
+            ):
+                self._declined(proc, rec)
             if config.short_circuit_routines and (
                 rec.call_target is not None or rec.ret_target is not None
             ):
@@ -295,11 +319,16 @@ class Harrier(KernelHooks):
             prof.add(STAGE_DATAFLOW, perf_counter() - t0)
         if config.track_bb_frequency:
             t0 = perf_counter()
-            self.bbfreq.observe(shadow, rec.plan.start)
+            leads = rec.plan.leads
+            if leads is None:
+                self.bbfreq.observe(shadow, rec.plan.start)
+            else:
+                self.bbfreq.observe_leads(shadow, leads, rec.executed)
             prof.add(STAGE_BBFREQ, perf_counter() - t0)
 
-    def _apply_block_dataflow(self, shadow: ProcessShadow, rec) -> None:
-        """Apply one block's taint effects, fast path first.
+    def _apply_block_dataflow(self, shadow: ProcessShadow, rec) -> bool:
+        """Apply one block's taint effects, fast path first; True when
+        the fast path applied them.
 
         The summary fast path is valid only for full executions (a
         partial block's templates were only partially applied), starts
@@ -317,9 +346,19 @@ class Harrier(KernelHooks):
             )(shadow, rec)
         ):
             self.fastpath_blocks += 1
-            return
+            return True
         self.slowpath_blocks += 1
         self.dataflow.apply_block(shadow, rec)
+        return False
+
+    @staticmethod
+    def _declined(proc: Process, rec) -> None:
+        """A superblock replayed its templates with the fast path on:
+        when that was a full execution (the fast path declined), tell
+        the block cache, which demotes superblocks that keep
+        declining."""
+        if rec.executed == rec.plan.length:
+            proc.block_cache.decline(rec.plan)
 
     # -- syscall events (section 7.1) -----------------------------------------
     def on_syscall_pre(

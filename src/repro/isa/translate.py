@@ -24,11 +24,17 @@ block entry instead of one :class:`StepResult` per instruction.
 ``BlockPlan.iter_steps`` reconstructs the per-instruction StepResults for
 consumers that still want them (the default hook compatibility path),
 bit-identical to what the interpreter would have produced.
+
+:class:`Superblock` concatenates a static chain of translated blocks —
+each ending in ``JMP imm`` or a cut fall-through, the one case where a
+block's successor is known at decode time — into one plan: one dispatch,
+one record, PIN's trace granularity.  Nothing is re-translated;
+the chain's closures and taint templates are reused as they are.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.cpu import (
     CPUID_VALUES,
@@ -243,6 +249,13 @@ def summarize_taint(
 class BlockRecord:
     """One execution of a (prefix of a) translated block.
 
+    The kernel passes one record to every :meth:`BlockPlan.execute`,
+    which refills it, so a record is valid until the next dispatch:
+    consumers read it inside the dispatch that produced it (the kernel,
+    ``on_block`` hooks) and keep only values derived from it, never the
+    record itself.  (A record per dispatch costs an allocation; a record
+    per plan costs ~160 bytes per resident plan and a reference cycle.)
+
     ``executed`` counts retired instructions; a faulting instruction is
     not retired, matching the interpreter (the kernel never advanced the
     clock or fired the hook for it).  ``holes`` is the dynamic memory
@@ -264,7 +277,7 @@ class BlockRecord:
         "next_pc",
     )
 
-    def __init__(self, plan: "BlockPlan") -> None:
+    def __init__(self, plan: Optional["BlockPlan"] = None) -> None:
         self.plan = plan
         self.executed = 0
         self.kind = EXIT_CONTINUE
@@ -284,7 +297,8 @@ class BlockRecord:
 
 
 class BlockPlan:
-    """A translated basic block: closures + taint templates."""
+    """A translated basic block (or superblock): closures + taint
+    templates."""
 
     __slots__ = (
         "start",
@@ -296,7 +310,14 @@ class BlockPlan:
         "built_summary",
         "taint_apply",
         "length",
+        "link_op",
+        "heat",
     )
+
+    #: Superblocks only (see :class:`Superblock`); class-level defaults
+    #: keep a translated block free of slots it never fills.
+    parts: Optional[Tuple["BlockPlan", ...]] = None
+    leads: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __init__(
         self,
@@ -306,6 +327,7 @@ class BlockPlan:
         body_ops: Tuple[BodyOp, ...],
         term_op,
         taint: Tuple[TaintTemplate, ...],
+        link_op: Optional[BodyOp] = None,
     ) -> None:
         self.start = start
         self.pcs = pcs
@@ -313,6 +335,13 @@ class BlockPlan:
         self.body_ops = body_ops
         self.term_op = term_op
         self.taint = taint
+        #: The terminator as a straight-line body op (a no-op for ``JMP
+        #: imm``) when the block has a static successor — it ends in
+        #: ``JMP imm`` or is a cut fall-through — else None.
+        self.link_op = link_op
+        #: Cache hits left before the block cache tries to fuse this
+        #: plan with its successors (0: never; see ``BlockCache``).
+        self.heat = 0
         #: The :class:`TaintSummary` once :attr:`taint_summary` has built
         #: it, else None — diagnostics read this to avoid building one.
         self.built_summary: Optional[TaintSummary] = None
@@ -325,6 +354,14 @@ class BlockPlan:
         self.taint_apply = None
         self.length = len(pcs)
 
+    def successor(self) -> int:
+        """The static successor's pc (only when :attr:`link_op` is set):
+        the ``JMP`` target, else the fall-through."""
+        last = self.instructions[-1]
+        if last.opcode is Opcode.JMP:
+            return last.a.value
+        return self.pcs[-1] + 1
+
     @property
     def taint_summary(self) -> TaintSummary:
         """Block-level liveness/fold summary for the fast path, built on
@@ -335,16 +372,25 @@ class BlockPlan:
         return summary
 
     # -- execution --------------------------------------------------------
-    def execute(self, cpu, limit: int) -> BlockRecord:
+    def execute(self, cpu, limit: int,
+                rec: Optional[BlockRecord] = None) -> BlockRecord:
         """Run up to ``limit`` instructions of this block on ``cpu``.
 
         The quantum/deadline budget is enforced *here* (never overshot):
         a partial execution stops with :data:`EXIT_BUDGET` and the cpu's
         pc parked on the first unexecuted instruction, so virtual-time
         interleaving is identical to the per-instruction interpreter.
+        Refills and returns ``rec`` (a fresh record when None).
         """
-        rec = BlockRecord(self)
+        if rec is None:
+            rec = BlockRecord()
+        rec.plan = self
         holes = rec.holes
+        holes.clear()
+        rec.kind = EXIT_CONTINUE
+        # Only a CALL (RET) terminator sets these; call_return_addr is
+        # read only when call_target is set.
+        rec.call_target = rec.ret_target = None
         regs = cpu.regs._values
         cells = cpu.memory.cells
         n = 0
@@ -355,14 +401,7 @@ class BlockPlan:
                     n += 1
                 self.term_op(cpu, regs, cells, holes, rec)
             except CpuFault as fault:
-                rec.executed = n
-                rec.kind = EXIT_FAULT
-                rec.fault = fault
-                # Interpreter parity: the faulting instruction's pc was
-                # advanced past it before the raise.
-                cpu.pc = self.pcs[n] + 1
-                rec.next_pc = cpu.pc
-                return rec
+                return self._stopped(cpu, rec, n, EXIT_FAULT, fault)
             rec.executed = n + 1
             rec.next_pc = cpu.pc
             return rec
@@ -372,15 +411,22 @@ class BlockPlan:
                 op(cpu, regs, cells, holes)
                 n += 1
         except CpuFault as fault:
-            rec.executed = n
-            rec.kind = EXIT_FAULT
-            rec.fault = fault
-            cpu.pc = self.pcs[n] + 1
-            rec.next_pc = cpu.pc
-            return rec
+            return self._stopped(cpu, rec, n, EXIT_FAULT, fault)
+        return self._stopped(cpu, rec, n, EXIT_BUDGET, None)
+
+    def _stopped(self, cpu, rec: BlockRecord, n: int, kind: int,
+                 fault: Optional[CpuFault]) -> BlockRecord:
+        """Fill the record of an execution that stopped before its
+        terminator retired, after ``n`` retired instructions."""
         rec.executed = n
-        rec.kind = EXIT_BUDGET
-        cpu.pc = self.pcs[n]
+        rec.kind = kind
+        rec.fault = fault
+        if fault is not None:
+            # Interpreter parity: the faulting instruction's pc was
+            # advanced past it before the raise.
+            cpu.pc = self.pcs[n] + 1
+        else:
+            cpu.pc = self.pcs[n]
         rec.next_pc = cpu.pc
         return rec
 
@@ -428,16 +474,22 @@ class BlockPlan:
                     step.kind = StepKind.SYSCALL
                 elif opcode is Opcode.HLT:
                     step.kind = StepKind.HALT
-                step.call_target = rec.call_target
-                step.call_return_addr = rec.call_return_addr
+                if rec.call_target is not None:
+                    step.call_target = rec.call_target
+                    step.call_return_addr = rec.call_return_addr
                 step.ret_target = rec.ret_target
                 step.next_pc = rec.next_pc
             else:
-                step.next_pc = pcs[i] + 1
+                # The next instruction of the plan: pc + 1, or the
+                # target of a superblock's interior ``JMP imm``.
+                step.next_pc = pcs[i + 1]
             yield step
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BlockPlan(start={self.start:#x}, len={self.length})"
+        return (
+            f"{type(self).__name__}(start={self.start:#x}, "
+            f"len={self.length})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -711,31 +763,32 @@ _JCC_CONDS = {
 
 
 def _compile_terminator(instr: Instruction, pc: int):
-    """Compile the block's last instruction; returns (term_op, taint)."""
+    """Compile the block's last instruction; returns (term_op, taint,
+    link_op) — see :attr:`BlockPlan.link_op`."""
     opcode = instr.opcode
 
     if opcode is Opcode.JMP:
         a = instr.a
         if type(a) is not Imm:
             return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+                               halt=False), None, None
         target = a.value
         def term(cpu, regs, cells, holes, rec, _t=target):
             cpu.pc = _t
-        return term, None
+        return term, None, _nop_op
 
     cond = _JCC_CONDS.get(opcode)
     if cond is not None:
         a = instr.a
         if type(a) is not Imm:
             return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+                               halt=False), None, None
         target = a.value
         fall = pc + 1
         def term(cpu, regs, cells, holes, rec, _t=target, _f=fall,
                  _c=cond):
             cpu.pc = _t if _c(cpu) else _f
-        return term, None
+        return term, None, None
 
     if opcode is Opcode.CALL:
         a = instr.a
@@ -763,8 +816,8 @@ def _compile_terminator(instr: Instruction, pc: int):
                 rec.call_return_addr = _r
         else:
             return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
-        return term, (True, ((MEM_HOLE, (LOC_ZERO,)),))
+                               halt=False), None, None
+        return term, (True, ((MEM_HOLE, (LOC_ZERO,)),)), None
 
     if opcode is Opcode.RET:
         def term(cpu, regs, cells, holes, rec):
@@ -773,23 +826,23 @@ def _compile_terminator(instr: Instruction, pc: int):
             regs["esp"] = sp + 1
             cpu.pc = target
             rec.ret_target = target
-        return term, None
+        return term, None, None
 
     if opcode is Opcode.INT:
         a = instr.a
         if type(a) is not Imm:
             return _fault_term(f"expected immediate, got {a}",
-                               halt=False), None
+                               halt=False), None, None
         if a.value != 0x80:
             return _fault_term(
                 f"unsupported interrupt {a.value:#x} at {pc:#x}",
                 halt=True,
-            ), None
+            ), None, None
         nxt = pc + 1
         def term(cpu, regs, cells, holes, rec, _n=nxt):
             cpu.pc = _n
             rec.kind = EXIT_SYSCALL
-        return term, None
+        return term, None, None
 
     if opcode is Opcode.HLT:
         nxt = pc + 1
@@ -797,7 +850,7 @@ def _compile_terminator(instr: Instruction, pc: int):
             cpu.halted = True
             cpu.pc = _n
             rec.kind = EXIT_HALT
-        return term, None
+        return term, None, None
 
     # A cut block (leader / unmapped successor / max length): the last
     # instruction is an ordinary straight-line op plus a fall-through.
@@ -806,7 +859,7 @@ def _compile_terminator(instr: Instruction, pc: int):
     def term(cpu, regs, cells, holes, rec, _op=op, _n=nxt):
         _op(cpu, regs, cells, holes)
         cpu.pc = _n
-    return term, tmpl
+    return term, tmpl, op
 
 
 def translate_block(
@@ -852,7 +905,7 @@ def translate_block(
         op, tmpl = _compile_straight(instrs[i], pcs[i])
         body_ops.append(op)
         taint.append(tmpl)
-    term_op, tmpl = _compile_terminator(instrs[-1], pcs[-1])
+    term_op, tmpl, link_op = _compile_terminator(instrs[-1], pcs[-1])
     taint.append(tmpl)
     return BlockPlan(
         start=start,
@@ -861,4 +914,55 @@ def translate_block(
         body_ops=tuple(body_ops),
         term_op=term_op,
         taint=tuple(taint),
+        link_op=link_op,
     )
+
+
+class Superblock(BlockPlan):
+    """A static chain of translated blocks fused into one plan.
+
+    Every part but the last must have a :attr:`BlockPlan.link_op` and the
+    next part must start at its :meth:`BlockPlan.successor`; its
+    terminator becomes that body op, and the last part's terminator ends
+    the superblock.
+    Nothing is re-translated.  ``pcs``/``instructions``/``taint`` are the
+    concatenations, so :meth:`BlockPlan.execute` keeps budget and fault
+    parity by index, ``iter_steps`` and template replay run unchanged,
+    and ``summarize_taint`` over the concatenated templates is the
+    chain's composed summary — its ``alias_checks`` cover a load after a
+    store across a former block boundary.
+    """
+
+    __slots__ = ("parts", "leads", "declines")
+
+    def __init__(self, parts: Sequence[BlockPlan]) -> None:
+        body_ops: List[BodyOp] = []
+        pcs: List[int] = []
+        instrs: List[Instruction] = []
+        taint: List[TaintTemplate] = []
+        leads: List[Tuple[int, int]] = []
+        for i, part in enumerate(parts):
+            if i:
+                body_ops.append(parts[i - 1].link_op)
+            leads.append((len(pcs), part.start))
+            body_ops.extend(part.body_ops)
+            pcs.extend(part.pcs)
+            instrs.extend(part.instructions)
+            taint.extend(part.taint)
+        last = parts[-1]
+        super().__init__(
+            start=parts[0].start,
+            pcs=tuple(pcs),
+            instructions=tuple(instrs),
+            body_ops=tuple(body_ops),
+            term_op=last.term_op,
+            taint=tuple(taint),
+            link_op=last.link_op,
+        )
+        #: The constituent translated blocks, in execution order, and
+        #: their ``(offset, start)`` leaders within :attr:`pcs`.
+        self.parts: Tuple[BlockPlan, ...] = tuple(parts)
+        self.leads: Tuple[Tuple[int, int], ...] = tuple(leads)
+        #: Full executions whose summary fast path declined (demotion
+        #: bookkeeping, see ``BlockCache.decline``).
+        self.declines = 0

@@ -21,6 +21,7 @@ from repro.isa.cpu import CPU, CpuFault, StepKind
 from repro.isa.image import Image
 from repro.isa.memory import FlatMemory, MemoryFault
 from repro.isa.translate import (
+    BlockRecord,
     EXIT_BUDGET as BLOCK_BUDGET,
     EXIT_CONTINUE as BLOCK_CONTINUE,
     EXIT_FAULT as BLOCK_FAULT,
@@ -151,6 +152,9 @@ class Kernel:
         self._block_cache_store = block_cache_store
         #: Times a process's cache was invalidated (execve swaps images).
         self.block_cache_flushes = 0
+        #: Refilled by every block dispatch (see ``BlockRecord``): no
+        #: allocation per dispatch, and no record per resident plan.
+        self._block_record = BlockRecord()
 
     # -- setup -----------------------------------------------------------------
     def register_binary(self, image: Image, path: Optional[str] = None) -> str:
@@ -573,6 +577,7 @@ class Kernel:
             quantum = self.fault_injector.quantum(quantum)
         budget = quantum
         hooks = self.hooks
+        record = self._block_record
         while budget > 0:
             if proc.state is not ProcessState.RUNNABLE or self.now >= deadline:
                 return
@@ -594,7 +599,7 @@ class Kernel:
             limit = deadline - self.now
             if budget < limit:
                 limit = budget
-            rec = plan.execute(cpu, limit)
+            rec = plan.execute(cpu, limit, record)
             executed = rec.executed
             self.now += executed
             self.instructions += executed

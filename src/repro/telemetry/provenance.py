@@ -90,7 +90,9 @@ class ProvenanceRecorder:
         # because the interpreter path has no blocks to observe).
         self.blocks_observed = 0
         self.block_tokens = 0
-        self._seen_plans: set = set()
+        #: Plans :meth:`observe_block` has seen; the monitor probes it
+        #: inline so a hot block costs no call after its first.
+        self.seen_plans: set = set()
 
     # -- recording -----------------------------------------------------------
     def record_source(
@@ -172,19 +174,28 @@ class ProvenanceRecorder:
     def observe_block(self, plan) -> None:
         """Count taint-carrying translated blocks (fastpath diagnostic).
 
-        Called from the block-cache fast path only; dedups per plan so
-        hot loops cost one set probe.  Feeds ``provenance_*`` gauges —
-        deliberately *not* evidence, which must be mode-independent.
+        Called from the block-cache fast path only, once per plan (see
+        :attr:`seen_plans`).  A superblock counts as its constituent
+        blocks (``plan.parts``), each once, so the counts do not depend
+        on which chains were fused.  Feeds ``provenance_*``
+        gauges — deliberately *not* evidence, which must be
+        mode-independent.
         """
-        seen = self._seen_plans
+        seen = self.seen_plans
         if plan in seen:
             return
         seen.add(plan)
-        summary = getattr(plan, "taint_summary", None)
-        if summary is None or summary.is_noop:
-            return
-        self.blocks_observed += 1
-        self.block_tokens += len(summary.live_in) + len(summary.touch_holes)
+        for block in plan.parts or (plan,):
+            if block is not plan and block in seen:
+                continue
+            seen.add(block)
+            summary = block.taint_summary
+            if summary is None or summary.is_noop:
+                continue
+            self.blocks_observed += 1
+            self.block_tokens += (
+                len(summary.live_in) + len(summary.touch_holes)
+            )
 
     # -- evidence ------------------------------------------------------------
     def evidence_for(

@@ -1,7 +1,7 @@
 """BlockCache behavior: hit/miss accounting, telemetry counters, capacity
 flush, and the kernel's cache lifecycle (spawn/fork/execve)."""
 
-from repro.harrier.blockcache import BlockCache
+from repro.harrier.blockcache import FUSE_AFTER, BlockCache
 from repro.isa import (
     FlatMemory,
     Imm,
@@ -62,6 +62,21 @@ class TestCacheAccounting:
             cache.lookup(mem, pc)
         assert cache.flushes == 1
         assert len(cache) == 1  # flushed at the third insert
+
+    def test_stats_count_resident_superblocks(self):
+        cache = BlockCache()
+        mem = make_memory([
+            Instruction(Opcode.NOP),
+            Instruction(Opcode.JMP, Imm(2)),
+            Instruction(Opcode.HLT),
+        ])
+        for _ in range(FUSE_AFTER):
+            cache.lookup(mem, 0)
+            cache.lookup(mem, 2)
+        stats = cache.stats()
+        assert (stats["blocks"], stats["superblocks"]) == (2, 1)
+        assert stats["demotions"] == 0
+        assert stats["translated_instructions"] == 3
 
     def test_metrics_counters(self):
         telemetry = Telemetry.enabled()

@@ -28,6 +28,8 @@ from repro.isa.translate import (
     EXIT_HALT,
     EXIT_SYSCALL,
     MAX_BLOCK_LEN,
+    BlockRecord,
+    Superblock,
     translate_block,
 )
 
@@ -384,6 +386,96 @@ class TestBudget:
         assert rec.kind == EXIT_CONTINUE
         assert rec.executed == plan.length
         assert rec.next_pc == 0
+
+
+class TestRecordReuse:
+    def test_one_record_refilled_per_dispatch(self):
+        mem = make_memory([
+            Instruction(Opcode.PUSH, Imm(7)),
+            Instruction(Opcode.CALL, Imm(5)),
+            Instruction(Opcode.HLT),
+            Instruction(Opcode.NOP),
+            Instruction(Opcode.JMP, Imm(3)),
+        ])
+        call = translate_block(mem, 0)
+        loop = translate_block(mem, 3)
+        rec = BlockRecord()
+        assert call.execute(make_cpu(mem), call.length, rec) is rec
+        assert (rec.plan, rec.call_target, rec.holes) == (
+            call, 5, [0xFFF, 0xFFE]
+        )
+        # Nothing of the CALL dispatch survives the next one.
+        assert loop.execute(make_cpu(mem, 3), loop.length, rec) is rec
+        assert (rec.plan, rec.kind, rec.holes) == (loop, EXIT_CONTINUE, [])
+        assert rec.call_target is None
+        assert [s.call_return_addr for s in loop.iter_steps(rec)] == [
+            None, None
+        ]
+        call.execute(make_cpu(mem), 1, rec)
+        assert (rec.kind, rec.executed, rec.holes) == (
+            EXIT_BUDGET, 1, [0xFFF]
+        )
+        assert rec.call_target is None
+
+
+class TestSuperblockPlans:
+    #: A: mov; jmp 4  ->  B: push; pop (cut before 6)  ->  C: add; hlt
+    CHAIN = [
+        Instruction(Opcode.MOV, Reg("eax"), Imm(3)),
+        Instruction(Opcode.JMP, Imm(4)),
+        Instruction(Opcode.HLT),
+        Instruction(Opcode.HLT),
+        Instruction(Opcode.PUSH, Reg("eax")),
+        Instruction(Opcode.POP, Reg("ebx")),
+        Instruction(Opcode.ADD, Reg("ebx"), Imm(1)),
+        Instruction(Opcode.HLT),
+    ]
+
+    def _fused(self, mem):
+        return Superblock([
+            translate_block(mem, 0),
+            translate_block(mem, 4, frozenset({6})),
+            translate_block(mem, 6),
+        ])
+
+    def test_concatenates_without_retranslating(self):
+        mem = make_memory(self.CHAIN)
+        plan = self._fused(mem)
+        assert plan.pcs == (0, 1, 4, 5, 6, 7)
+        assert plan.leads == ((0, 0), (2, 4), (4, 6))
+        assert [p.start for p in plan.parts] == [0, 4, 6]
+        assert plan.term_op is plan.parts[-1].term_op
+        assert plan.taint == sum((p.taint for p in plan.parts), ())
+
+    @pytest.mark.parametrize("limit", range(1, 7))
+    def test_every_limit_matches_interpreter(self, limit):
+        cpu_a = make_cpu(make_memory(self.CHAIN))
+        steps_a = [cpu_a.step() for _ in range(limit)]
+        mem = make_memory(self.CHAIN)
+        plan = self._fused(mem)
+        cpu_b = make_cpu(mem)
+        rec = plan.execute(cpu_b, limit)
+        assert rec.executed == limit
+        assert rec.kind == (EXIT_HALT if limit == 6 else EXIT_BUDGET)
+        assert list(plan.iter_steps(rec)) == steps_a
+        assert cpu_b.pc == cpu_a.pc
+        assert cpu_b.regs._values == cpu_a.regs._values
+        assert cpu_b.memory.cells == cpu_a.memory.cells
+
+    def test_fault_in_tail_matches_interpreter(self):
+        chain = list(self.CHAIN)
+        chain[6] = Instruction(Opcode.DIV, Reg("ebx"), Imm(0))
+        cpu_a = make_cpu(make_memory(chain))
+        for _ in range(4):
+            cpu_a.step()
+        with pytest.raises(CpuFault) as fault_a:
+            cpu_a.step()
+        mem = make_memory(chain)
+        cpu_b = make_cpu(mem)
+        rec = self._fused(mem).execute(cpu_b, 6)
+        assert (rec.kind, rec.executed) == (EXIT_FAULT, 4)
+        assert str(rec.fault) == str(fault_a.value)
+        assert (cpu_b.pc, cpu_b.halted) == (cpu_a.pc, cpu_a.halted)
 
 
 class TestTaintSummary:

@@ -166,6 +166,7 @@ class TestBlockDiagnostics:
     @dataclass(frozen=True)
     class Plan:
         taint_summary: object = field(default=None)
+        parts: object = None  # a translated block, not a superblock
 
     def test_blocks_dedup_per_plan(self):
         rec = ProvenanceRecorder()
