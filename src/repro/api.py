@@ -96,7 +96,6 @@ class Session:
         options: Optional[RunOptions] = None,
         telemetry: Optional[Telemetry] = None,
         fault_injector=None,
-        setup: Optional[SetupFn] = None,
         analyzer=None,
     ) -> HTH:
         """A fresh monitored machine wired to this session's warm engine.
@@ -105,17 +104,13 @@ class Session:
         daemon passes a :class:`repro.serve.streaming.TapAnalyzer` here
         so warnings stream out as they fire.
         """
-        options = options if options is not None else self.options
-        hth = HTH(
+        return HTH(
             telemetry=telemetry if telemetry is not None else self.telemetry,
             fault_injector=fault_injector,
-            options=options,
+            options=options if options is not None else self.options,
             engine=self.engine,
             analyzer=analyzer,
         )
-        if setup is not None:
-            setup(hth)
-        return hth
 
     # -- running -----------------------------------------------------------
     def run(
@@ -135,13 +130,11 @@ class Session:
 
         ``program`` is an assembled :class:`Image` or assembly source
         text (assembled through the warm memo as ``path``, default
-        ``/bin/guest``).  ``setup(hth)`` runs before the guest — seed
-        files, register peers, provide input.
-
-        A run with a ``setup`` closure is opaque to the verdict cache
-        unless ``cache_env`` declares the environment the closure builds
-        (seeded files + peers); the CLI and the serve worker both derive
-        their setup from exactly that declarative data.
+        ``/bin/guest``).  ``cache_env`` seeds the machine's files and
+        peers (:meth:`CacheEnv.seed`) and is hashed into the cache key,
+        so the key and the machine come from the same declaration.
+        ``setup(hth)`` then runs before the guest; a run with a
+        ``setup`` closure and no ``cache_env`` is opaque to the cache.
         """
         if isinstance(program, str):
             program = self.engine.image(path or "/bin/guest", program)
@@ -161,9 +154,12 @@ class Session:
                 self.runs += 1
                 return hit
         hth = self.machine(
-            options=options, telemetry=telemetry, setup=setup,
-            analyzer=analyzer,
+            options=options, telemetry=telemetry, analyzer=analyzer,
         )
+        if cache_env is not None:
+            cache_env.seed(hth)
+        if setup is not None:
+            setup(hth)
         self.runs += 1
         report = hth.run(program, argv=argv, env=env, stdin=stdin)
         if key is not None:

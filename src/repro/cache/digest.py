@@ -44,10 +44,12 @@ import enum
 import hashlib
 import struct
 from collections import OrderedDict
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.options import RunOptions
 from repro.isa.image import Image
+from repro.kernel.network import ConversationPeer, SinkPeer
 
 #: Bump when the canonical encoding or any key recipe changes: old
 #: on-disk entries then simply miss instead of decoding wrongly.
@@ -234,22 +236,39 @@ def options_fingerprint(options: RunOptions) -> str:
     return digest
 
 
+def peer_address(addr: str) -> Tuple[str, int]:
+    """Split a ``HOST:PORT`` peer address; ``ValueError`` if malformed.
+
+    The one check every way in shares — CLI flags, serve submissions and
+    :meth:`CacheEnv.seed` — so a bad address is refused where it enters
+    instead of failing inside a run.
+    """
+    host, _, port = addr.partition(":")
+    if host and port.isdigit() and int(port) <= 65535:
+        return host, int(port)
+    raise ValueError(
+        f"peer address must be HOST:PORT with a port in 0..65535, "
+        f"got {addr!r}"
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class CacheEnv:
-    """A declarative machine environment the cache can hash.
+    """The declarative guest environment: seeded files and network peers.
 
-    ``Session.run`` setup callbacks are opaque closures; a run made with
-    one is uncacheable *unless* the caller also describes the
-    environment the closure builds — seeded files and network peers, the
-    exact data the CLI flags and serve submissions carry.  The CLI and
-    the serve worker both build their setup from these mappings, so for
-    them the description is authoritative by construction.
+    This is the one description of what a CLI run, a profile or a serve
+    submission sets up around its guest.  ``Session.run(cache_env=...)``
+    hashes it into the verdict-cache key *and* builds the machine from
+    it (:meth:`seed`), so a cached verdict always belongs to the
+    environment the machine gets.
     """
 
     #: ``(path, content)`` pairs seeded into the simulated fs.
     files: Tuple[Tuple[str, str], ...] = ()
     #: ``("host:port", opening_payload)`` pairs; ``""`` payload means a
-    #: plain data-sink peer (the ``--peer`` / ``--serve`` CLI split).
+    #: plain data-sink peer, anything else a peer that pushes the
+    #: payload on connect and then hangs up (the ``--peer`` / ``--serve``
+    #: CLI split).
     peers: Tuple[Tuple[str, str], ...] = ()
 
     @classmethod
@@ -262,6 +281,22 @@ class CacheEnv:
             files=tuple(sorted((files or {}).items())),
             peers=tuple(sorted((peers or {}).items())),
         )
+
+    def seed(self, hth) -> None:
+        """Write the files and register the peers on a fresh machine.
+
+        Both go in sorted order — the order the key hashes them in — so
+        two declarations with one key also get one host-address layout.
+        """
+        for path, content in self.files:
+            hth.fs.write_text(path, content)
+        for addr, payload in self.peers:
+            host, port = peer_address(addr)
+            factory = (
+                partial(ConversationPeer, host, opening=payload.encode())
+                if payload else partial(SinkPeer, host)
+            )
+            hth.network.add_peer(host, port, factory)
 
 
 def environment_digest(
@@ -371,10 +406,3 @@ def submission_key(submission, engine=None) -> str:
         ),
     )
 
-
-def iter_digest_parts(values: Iterable[object]) -> Dict[str, str]:
-    """Debug aid: per-part digests for key-mismatch forensics."""
-    return {
-        f"part_{i}": content_digest(value)
-        for i, value in enumerate(values)
-    }

@@ -45,14 +45,14 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from repro.analysis.instrumentation import render_listing
 from repro.analysis.secure_binary import check_secure_binary
 from repro.api import Session
 from repro.cache import CacheEnv, DiskStore, VerdictCache
-from repro.core.hth import HTH
-from repro.core.options import RunOptions
+from repro.cache.digest import peer_address
+from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.core.report import RunReport
 from repro.fleet.refs import (
     REGISTRIES,
@@ -62,7 +62,6 @@ from repro.fleet.refs import (
 )
 from repro.harrier.config import HarrierConfig
 from repro.isa.assembler import AssemblyError, assemble
-from repro.kernel.network import ConversationPeer, SinkPeer
 from repro.telemetry import Telemetry
 
 
@@ -73,35 +72,47 @@ def _load_image(source_path: str, guest_path: Optional[str]):
     return assemble(name, source)
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with ``message``, the way argparse rejects a bad flag."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_kv(option: str, value: str) -> tuple:
     key, sep, rest = value.partition("=")
     if not sep:
-        raise SystemExit(f"--{option} expects KEY=VALUE, got {value!r}")
+        _usage_error(f"--{option} expects KEY=VALUE, got {value!r}")
     return key, rest
 
 
-def _apply_run_setup(hth: HTH, args: argparse.Namespace) -> None:
-    for entry in args.file or ():
-        name, content = _parse_kv("file", entry)
-        hth.fs.write_text(name, content)
-    for entry in args.peer or ():
-        host, _, port = entry.partition(":")
-        if not port:
-            raise SystemExit(f"--peer expects HOST:PORT, got {entry!r}")
-        hth.network.add_peer(host, int(port), lambda: SinkPeer(host))
+def _guest_env(args: argparse.Namespace) -> CacheEnv:
+    """The one parse of ``--file``/``--peer``/``--serve`` (run, profile
+    and submit).  A peer's ``""`` payload means a data sink, so
+    ``--serve`` needs non-empty DATA to mean anything else."""
+    files = dict(_parse_kv("file", entry) for entry in args.file or ())
+    peers = {entry: "" for entry in args.peer or ()}
     for entry in args.serve or ():
-        # HOST:PORT=payload - a peer that pushes payload on connect
         addr, payload = _parse_kv("serve", entry)
-        host, _, port = addr.partition(":")
-        if not port:
-            raise SystemExit(f"--serve expects HOST:PORT=DATA, got {entry!r}")
-        hth.network.add_peer(
-            host,
-            int(port),
-            lambda payload=payload: ConversationPeer(
-                host, opening=payload.encode()
-            ),
-        )
+        if not payload:
+            _usage_error(f"--serve {entry!r} has empty DATA; "
+                         f"register a data sink with --peer {addr}")
+        peers[addr] = payload
+    for addr in peers:
+        try:
+            peer_address(addr)
+        except ValueError as exc:
+            _usage_error(f"--peer/--serve: {exc}")
+    return CacheEnv.from_mappings(files, peers)
+
+
+def _run_guest(session: Session, image, args: argparse.Namespace) -> RunReport:
+    """Run ``image`` with the guest flags' argv, input and environment."""
+    return session.run(
+        image,
+        argv=[image.name] + list(args.arg or ()),
+        stdin=args.stdin,
+        cache_env=_guest_env(args),
+    )
 
 
 def _print_report(report: RunReport, show_events: bool) -> None:
@@ -169,7 +180,7 @@ def _run_options(args: argparse.Namespace, **overrides) -> RunOptions:
         provenance=not getattr(args, "no_provenance", False),
         rete=not getattr(args, "no_rete", False),
         cache=not getattr(args, "no_cache", False),
-        max_ticks=getattr(args, "max_ticks", None) or 5_000_000,
+        max_ticks=getattr(args, "max_ticks", DEFAULT_MAX_TICKS),
         **overrides,
     )
 
@@ -208,23 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _run_options(args, harrier_config=config), telemetry=telemetry,
         cache=cache,
     )
-    # The CLI's --file/--peer/--serve setup is declarative, so it can
-    # travel into the cache key as a CacheEnv — without it the setup
-    # closure would be opaque and every run a forced miss.
-    files = dict(_parse_kv("file", entry) for entry in (args.file or ()))
-    peers = {}
-    for entry in args.peer or ():
-        peers[entry] = ""
-    for entry in args.serve or ():
-        addr, payload = _parse_kv("serve", entry)
-        peers[addr] = payload
-    report = session.run(
-        image,
-        argv=[image.name] + list(args.arg or ()),
-        stdin=args.stdin,
-        setup=lambda hth: _apply_run_setup(hth, args),
-        cache_env=CacheEnv.from_mappings(files, peers),
-    )
+    report = _run_guest(session, image, args)
     _print_report(report, args.events)
     _print_cache_line(cache)
     _emit_telemetry(telemetry, args)
@@ -279,11 +274,6 @@ def cmd_instrument(args: argparse.Namespace) -> int:
     image = _load_image(args.source, args.path)
     print(render_listing(image))
     return 0
-
-
-# The registry map moved to repro.fleet.refs (the fleet engine and the
-# benchmark harnesses need it too); kept here as the historical alias.
-_TABLE_BENCHES = REGISTRIES
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -421,12 +411,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     telemetry = Telemetry.enabled(
         trace=bool(getattr(args, "trace", None)), profile=True
     )
-    session = Session(_run_options(args), telemetry=telemetry)
-    report = session.run(
-        image,
-        argv=[image.name] + list(args.arg or ()),
-        stdin=args.stdin,
-        setup=lambda hth: _apply_run_setup(hth, args),
+    report = _run_guest(
+        Session(_run_options(args), telemetry=telemetry), image, args
     )
     print(report.summary_line())
     print()
@@ -668,46 +654,32 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def _submission_from_args(args: argparse.Namespace):
     from repro.serve import Submission
 
-    options = _run_options(args).replaced(
-        wall_timeout=args.wall_timeout,
+    common = dict(
+        options=_run_options(args).replaced(wall_timeout=args.wall_timeout),
+        tenant=args.tenant,
+        triage=args.triage,
     )
     if args.table:
         if not args.workload:
             raise SystemExit("--table needs --workload NAME")
         return Submission(
-            workload=(args.table, args.workload),
-            options=options, tenant=args.tenant,
-            name=args.workload,
-            triage=args.triage,
+            workload=(args.table, args.workload), name=args.workload,
+            **common,
         )
     if not args.source:
         raise SystemExit("need a guest source file or --table/--workload")
     path = pathlib.Path(args.source)
-    files = dict(
-        _parse_kv("file", entry) for entry in (args.file or ())
-    )
-    peers = {}
-    for entry in args.peer or ():
-        if ":" not in entry:
-            raise SystemExit(f"--peer expects HOST:PORT, got {entry!r}")
-        peers[entry] = ""
-    for entry in args.serve or ():
-        addr, payload = _parse_kv("serve", entry)
-        if ":" not in addr:
-            raise SystemExit(f"--serve expects HOST:PORT=DATA, got {entry!r}")
-        peers[addr] = payload
+    env = _guest_env(args)
     guest_path = args.path or f"/bin/{path.stem}"
     return Submission(
         source=path.read_text(),
         path=guest_path,
         argv=tuple([guest_path] + list(args.arg or ())),
         stdin=args.stdin,
-        files=files,
-        peers=peers,
-        options=options,
-        tenant=args.tenant,
+        files=dict(env.files),
+        peers=dict(env.peers),
         name=path.name,
-        triage=args.triage,
+        **common,
     )
 
 
@@ -855,6 +827,46 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_engine_options(
+    parser: argparse.ArgumentParser, rete: bool = True
+) -> None:
+    """The execution-engine switches; each selects a reference path."""
+    parser.add_argument("--no-block-cache", action="store_true",
+                        help="execute per-instruction instead of through "
+                             "the translated-block cache (reference "
+                             "semantics)")
+    parser.add_argument("--no-taint-fastpath", action="store_true",
+                        help="replay taint templates per transfer instead "
+                             "of evaluating block liveness summaries "
+                             "(reference dataflow semantics)")
+    parser.add_argument("--no-provenance", action="store_true",
+                        help="skip recording per-warning evidence trails")
+    if rete:
+        parser.add_argument("--no-rete", action="store_true",
+                            help="match Secpert rules with the naive "
+                                 "full-rejoin engine instead of the "
+                                 "incremental Rete network (reference "
+                                 "matching semantics)")
+
+
+def _add_guest_options(parser: argparse.ArgumentParser) -> None:
+    """What one guest sees (identity, argv, input, files, peers) and its
+    virtual-time budget; :func:`_guest_env` parses the environment."""
+    parser.add_argument("--path", help="guest path identity for the binary")
+    parser.add_argument("--arg", action="append", help="argv entry (repeat)")
+    parser.add_argument("--stdin", help="scripted user input")
+    parser.add_argument("--file", action="append", metavar="PATH=CONTENT",
+                        help="seed a file in the simulated fs (repeat)")
+    parser.add_argument("--peer", action="append", metavar="HOST:PORT",
+                        help="register a data-sink peer (repeat)")
+    parser.add_argument("--serve", action="append",
+                        metavar="HOST:PORT=DATA",
+                        help="register a peer that pushes non-empty DATA "
+                             "on connect, then hangs up (repeat)")
+    parser.add_argument("--max-ticks", type=int, default=DEFAULT_MAX_TICKS,
+                        help="virtual-time budget (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -865,16 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a guest program under HTH")
     run.add_argument("source", help="guest assembly file (.s)")
-    run.add_argument("--path", help="guest path identity for the binary")
-    run.add_argument("--arg", action="append", help="argv entry (repeat)")
-    run.add_argument("--stdin", help="scripted user input")
-    run.add_argument("--file", action="append", metavar="PATH=CONTENT",
-                     help="seed a file in the simulated fs (repeat)")
-    run.add_argument("--peer", action="append", metavar="HOST:PORT",
-                     help="register a data-sink peer (repeat)")
-    run.add_argument("--serve", action="append",
-                     metavar="HOST:PORT=DATA",
-                     help="register a peer that pushes DATA on connect")
+    _add_guest_options(run)
     run.add_argument("--events", action="store_true",
                      help="dump the raw Harrier event log")
     run.add_argument("--no-dataflow", action="store_true",
@@ -883,20 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable basic-block frequency counting")
     run.add_argument("--incomplete-dataflow", action="store_true",
                      help="emulate the paper's incomplete prototype")
-    run.add_argument("--no-block-cache", action="store_true",
-                     help="execute per-instruction instead of through the "
-                          "translated-block cache (reference semantics)")
-    run.add_argument("--no-taint-fastpath", action="store_true",
-                     help="replay taint templates per transfer instead of "
-                          "evaluating block liveness summaries (reference "
-                          "dataflow semantics)")
-    run.add_argument("--no-provenance", action="store_true",
-                     help="skip recording per-warning evidence trails")
-    run.add_argument("--no-rete", action="store_true",
-                     help="match Secpert rules with the naive full-rejoin "
-                          "engine instead of the incremental Rete network "
-                          "(reference matching semantics)")
-    run.add_argument("--max-ticks", type=int, default=5_000_000)
+    _add_engine_options(run)
     run.add_argument("--json", metavar="FILE",
                      help="write the machine-readable RunReport as JSON "
                           "(feed it to `repro explain`)")
@@ -933,17 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser(
         "table", help="reproduce one of the paper's evaluation tables"
     )
-    table.add_argument("number", choices=sorted(_TABLE_BENCHES))
-    table.add_argument("--no-block-cache", action="store_true",
-                       help="run workloads on the per-instruction "
-                            "interpreter instead of the block cache")
-    table.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
-    table.add_argument("--no-provenance", action="store_true",
-                       help="skip recording per-warning evidence trails")
-    table.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
+    table.add_argument("number", choices=sorted(REGISTRIES))
+    _add_engine_options(table)
     _add_cache_options(table)
     _add_telemetry_options(table)
     table.set_defaults(func=cmd_table)
@@ -952,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="replay paper scenarios under deterministic fault schedules",
     )
-    chaos.add_argument("--table", choices=sorted(_TABLE_BENCHES),
+    chaos.add_argument("--table", choices=sorted(REGISTRIES),
                        default="8",
                        help="workload table to perturb (default: 8)")
     chaos.add_argument("--workload", action="append", metavar="NAME",
@@ -995,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard a workload sweep across worker processes",
     )
     fleet.add_argument("--table", action="append",
-                       choices=sorted(_TABLE_BENCHES), metavar="KEY",
+                       choices=sorted(REGISTRIES), metavar="KEY",
                        help="registry to include (repeat; default: every "
                             "table, 62 workloads)")
     fleet.add_argument("--workload", action="append", metavar="NAME",
@@ -1013,16 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
-    fleet.add_argument("--no-block-cache", action="store_true",
-                       help="run workloads on the per-instruction "
-                            "interpreter instead of the block cache")
-    fleet.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
-    fleet.add_argument("--no-provenance", action="store_true",
-                       help="skip recording per-warning evidence trails")
-    fleet.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
+    _add_engine_options(fleet)
     fleet.add_argument("--json", metavar="FILE",
                        help="write the merged FleetReport as JSON")
     _add_cache_options(fleet)
@@ -1038,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parent workload(s) to mutate (repeat; "
                             "default: every Trojan of tables 4/5/6/8)")
     sweep.add_argument("--table", action="append",
-                       choices=sorted(_TABLE_BENCHES), metavar="KEY",
+                       choices=sorted(REGISTRIES), metavar="KEY",
                        help="draw parents from these registries' Trojan "
                             "rows (repeat; ignored with --parent)")
     sweep.add_argument("--class", action="append", dest="klass",
@@ -1063,16 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-retries", type=int, default=1,
                        help="retries per run on watchdog/monitor-fault "
                             "outcomes (default: 1)")
-    sweep.add_argument("--no-block-cache", action="store_true",
-                       help="run variants on the per-instruction "
-                            "interpreter instead of the block cache")
-    sweep.add_argument("--no-taint-fastpath", action="store_true",
-                       help="disable the zero-taint dataflow fast path")
-    sweep.add_argument("--no-provenance", action="store_true",
-                       help="skip recording per-warning evidence trails")
-    sweep.add_argument("--no-rete", action="store_true",
-                       help="use the naive matcher instead of the "
-                            "incremental Rete network")
+    _add_engine_options(sweep)
     sweep.add_argument("--json", metavar="FILE",
                        help="write the deterministic BENCH payload "
                             "(matrix + evasions) as JSON")
@@ -1145,38 +1108,19 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--socket", default="repro-serve.sock",
                         help="daemon unix socket (default: "
                              "./repro-serve.sock)")
-    submit.add_argument("--table", choices=sorted(_TABLE_BENCHES),
+    submit.add_argument("--table", choices=sorted(REGISTRIES),
                         help="submit a registry workload instead of a "
                              "source file")
     submit.add_argument("--workload", metavar="NAME",
                         help="registry row name (with --table)")
-    submit.add_argument("--path", help="guest path identity")
-    submit.add_argument("--arg", action="append", help="argv entry")
-    submit.add_argument("--stdin", help="scripted user input")
-    submit.add_argument("--file", action="append", metavar="PATH=CONTENT",
-                        help="seed a file in the simulated fs (repeat)")
-    submit.add_argument("--peer", action="append", metavar="HOST:PORT",
-                        help="register a data-sink peer (repeat)")
-    submit.add_argument("--serve", action="append",
-                        metavar="HOST:PORT=DATA",
-                        help="register a peer that pushes DATA on "
-                             "connect")
+    _add_guest_options(submit)
     submit.add_argument("--tenant", default="default",
                         help="admission identity for rate/tick budgets")
-    submit.add_argument("--max-ticks", type=int, default=5_000_000)
     submit.add_argument("--wall-timeout", type=float,
                         help="per-run wall deadline hint for the daemon")
     submit.add_argument("--timeout", type=float, default=120.0,
                         help="client-side socket timeout (default: 120s)")
-    submit.add_argument("--no-block-cache", action="store_true",
-                        help="run on the per-instruction interpreter")
-    submit.add_argument("--no-taint-fastpath", action="store_true",
-                        help="disable the zero-taint dataflow fast path")
-    submit.add_argument("--no-provenance", action="store_true",
-                        help="skip recording per-warning evidence trails")
-    submit.add_argument("--no-rete", action="store_true",
-                        help="use the naive matcher instead of the "
-                             "incremental Rete network")
+    _add_engine_options(submit)
     submit.add_argument("--no-cache", action="store_true",
                         help="ask the daemon to execute fresh instead of "
                              "answering from its verdict cache")
@@ -1195,24 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="live overhead breakdown (paper sections 8-9) for one run",
     )
     profile.add_argument("source", help="guest assembly file (.s)")
-    profile.add_argument("--path", help="guest path identity")
-    profile.add_argument("--arg", action="append", help="argv entry")
-    profile.add_argument("--stdin", help="scripted user input")
-    profile.add_argument("--file", action="append", metavar="PATH=CONTENT",
-                         help="seed a file in the simulated fs (repeat)")
-    profile.add_argument("--peer", action="append", metavar="HOST:PORT",
-                         help="register a data-sink peer (repeat)")
-    profile.add_argument("--serve", action="append",
-                         metavar="HOST:PORT=DATA",
-                         help="register a peer that pushes DATA on connect")
-    profile.add_argument("--no-block-cache", action="store_true",
-                         help="profile the per-instruction interpreter "
-                              "instead of the block cache")
-    profile.add_argument("--no-taint-fastpath", action="store_true",
-                         help="disable the zero-taint dataflow fast path")
-    profile.add_argument("--no-provenance", action="store_true",
-                         help="skip recording per-warning evidence trails")
-    profile.add_argument("--max-ticks", type=int, default=5_000_000)
+    _add_guest_options(profile)
+    _add_engine_options(profile, rete=False)
     _add_telemetry_options(profile)
     profile.set_defaults(func=cmd_profile)
 

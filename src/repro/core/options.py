@@ -18,8 +18,8 @@ value object:
   two runs with the same options are independent and deterministic.
 
 The old boolean kwargs (``block_cache=`` / ``taint_fastpath=``) are
-gone: :func:`fold_legacy_flags` now *rejects* them with a
-:class:`TypeError` naming the replacement (covered by
+gone: ``HTH``, ``Workload.run`` and ``run_monitored`` take only
+``options=`` and reject them as unknown keyword arguments (covered by
 ``tests/core/test_options.py``).
 """
 
@@ -35,10 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faultinject.injector import FaultInjector
     from repro.faultinject.plan import FaultProfile
     from repro.telemetry import Telemetry
-
-#: Sentinel distinguishing "caller never passed the kwarg" from an
-#: explicit None/False — the deprecation shims need the difference.
-UNSET = object()
 
 #: Default virtual-time budget for one run (matches the historical
 #: ``HTH.run(max_ticks=...)`` default).
@@ -123,33 +119,3 @@ class RunOptions:
     ) -> "RunOptions":
         return replace(self, fault_profile=profile, fault_seed=seed)
 
-
-def fold_legacy_flags(
-    where: str,
-    options: Optional[RunOptions],
-    *,
-    block_cache: object = UNSET,
-    taint_fastpath: object = UNSET,
-    stacklevel: int = 3,
-) -> RunOptions:
-    """Reject the removed boolean kwargs; default ``options`` otherwise.
-
-    The historical ``block_cache=`` / ``taint_fastpath=`` keyword
-    arguments on ``HTH``, ``Workload.run`` and ``run_monitored`` went
-    through a deprecation cycle and are now an error: passing either
-    raises :class:`TypeError` naming the ``RunOptions`` replacement.
-    The function itself stays as the one place a caller-supplied
-    ``options=None`` is defaulted.
-    """
-    legacy = []
-    if block_cache is not UNSET:
-        legacy.append("block_cache")
-    if taint_fastpath is not UNSET:
-        legacy.append("taint_fastpath")
-    if legacy:
-        names = ", ".join(legacy)
-        raise TypeError(
-            f"{where}: the {names} keyword argument(s) were removed; "
-            f"pass options=RunOptions({names}=...) instead"
-        )
-    return options if options is not None else RunOptions()

@@ -46,7 +46,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
+from repro.cache.digest import peer_address
+from repro.core.options import RunOptions
 
 #: Version of the serve wire format (submissions and events).
 SERVE_SCHEMA_VERSION = 2
@@ -75,22 +76,29 @@ class ProtocolError(ValueError):
 # RunOptions <-> wire
 
 
-def options_to_wire(options: RunOptions) -> Dict[str, object]:
-    """The JSON-safe subset of :class:`RunOptions` a submission carries.
+#: The :class:`RunOptions` fields a submission carries as themselves,
+#: with the type each decodes through — the one list the encoder, the
+#: decoder and its unknown-key check all read.
+WIRE_OPTION_FIELDS = (
+    ("block_cache", bool), ("taint_fastpath", bool), ("provenance", bool),
+    ("rete", bool), ("metrics", bool), ("max_ticks", int),
+    ("wall_timeout", float), ("cache", bool),
+)
 
-    Policy and HarrierConfig overrides are server-side concerns and do
-    not travel; fault profiles travel as their scalar rates plus the
-    schedule seed (collection fields keep defaults).
-    """
+#: Fields that do not travel as themselves: policy and HarrierConfig
+#: overrides are server-side concerns, trace/profile telemetry is local
+#: to the caller, and a fault profile travels as the ``fault`` dict
+#: (its scalar rates plus the schedule seed).
+WIRE_EXEMPT_FIELDS = (
+    "policy", "harrier_config", "trace", "profile",
+    "fault_profile", "fault_seed",
+)
+
+
+def options_to_wire(options: RunOptions) -> Dict[str, object]:
+    """The JSON-safe subset of :class:`RunOptions` a submission carries."""
     wire: Dict[str, object] = {
-        "block_cache": options.block_cache,
-        "taint_fastpath": options.taint_fastpath,
-        "provenance": options.provenance,
-        "rete": options.rete,
-        "metrics": options.metrics,
-        "max_ticks": options.max_ticks,
-        "wall_timeout": options.wall_timeout,
-        "cache": options.cache,
+        name: getattr(options, name) for name, _ in WIRE_OPTION_FIELDS
     }
     if options.fault_profile is not None:
         wire["fault"] = {
@@ -104,32 +112,23 @@ def options_to_wire(options: RunOptions) -> Dict[str, object]:
 
 
 def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
-    """Rebuild a :class:`RunOptions` from its wire dict (missing keys
-    keep their defaults, unknown keys are rejected)."""
+    """Rebuild a :class:`RunOptions` from its wire dict (missing or null
+    keys keep their defaults, unknown keys are rejected)."""
     if data is None:
         return RunOptions()
     data = dict(data)
     fault = data.pop("fault", None)
-    allowed = {
-        "block_cache", "taint_fastpath", "provenance", "rete", "metrics",
-        "max_ticks", "wall_timeout", "cache",
-    }
-    unknown = set(data) - allowed
+    decoders = dict(WIRE_OPTION_FIELDS)
+    unknown = set(data) - set(decoders)
     if unknown:
         raise ProtocolError(f"unknown options field(s): {sorted(unknown)}")
-    options = RunOptions(
-        block_cache=bool(data.get("block_cache", True)),
-        taint_fastpath=bool(data.get("taint_fastpath", True)),
-        provenance=bool(data.get("provenance", True)),
-        rete=bool(data.get("rete", True)),
-        metrics=bool(data.get("metrics", False)),
-        cache=bool(data.get("cache", True)),
-        max_ticks=int(data.get("max_ticks", DEFAULT_MAX_TICKS)),
-        wall_timeout=(
-            float(data["wall_timeout"])
-            if data.get("wall_timeout") is not None else None
-        ),
-    )
+    try:
+        options = RunOptions(**{
+            name: decoders[name](value)
+            for name, value in data.items() if value is not None
+        })
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad options value: {exc}") from None
     if fault is not None:
         from repro.faultinject.plan import FaultProfile
 
@@ -183,6 +182,11 @@ class Submission:
             raise ProtocolError(
                 "a submission needs exactly one of source= or workload="
             )
+        for addr in self.peers:
+            try:
+                peer_address(addr)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from None
 
     def to_wire(self) -> Dict[str, object]:
         wire: Dict[str, object] = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.api import Session
+from repro.api import CacheEnv, Session
 from repro.core.report import RunReport
 from repro.secpert.policy import PolicyConfig
 from repro.secpert.secpert import Secpert
@@ -66,25 +66,6 @@ def execute_submission(
         )
         return report, workload.classified_correctly(report), engine_stats()
 
-    def setup(hth) -> None:
-        from repro.kernel.network import ConversationPeer, SinkPeer
-
-        for path, content in sorted(submission.files.items()):
-            hth.fs.write_text(path, content)
-        for addr, payload in sorted(submission.peers.items()):
-            host, _, port = addr.partition(":")
-            if payload:
-                hth.network.add_peer(
-                    host, int(port),
-                    lambda host=host, payload=payload: ConversationPeer(
-                        host, opening=payload.encode()
-                    ),
-                )
-            else:
-                hth.network.add_peer(
-                    host, int(port), lambda host=host: SinkPeer(host)
-                )
-
     report = session.run(
         submission.source,
         argv=(
@@ -92,7 +73,7 @@ def execute_submission(
             else [submission.path]
         ),
         stdin=submission.stdin,
-        setup=setup,
+        cache_env=CacheEnv.from_mappings(submission.files, submission.peers),
         options=submission.options,
         path=submission.path,
         analyzer=tap,

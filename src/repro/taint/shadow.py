@@ -73,16 +73,6 @@ class ShadowRegisters:
             self._tags.clear()
             self.gen += 1
 
-    def any_live(self, regs) -> bool:
-        """True when at least one of ``regs`` carries a non-empty tag."""
-        tags = self._tags
-        if not tags:
-            return False
-        for reg in regs:
-            if reg in tags:
-                return True
-        return False
-
     def snapshot(self) -> Dict[str, TagSet]:
         """A shallow copy of the live entries (TagSets are immutable)."""
         return dict(self._tags)

@@ -13,6 +13,7 @@ from repro.api import CacheEnv, Session, VerdictCache
 from repro.cache.digest import workload_key
 from repro.core.options import RunOptions
 from repro.fleet.refs import WorkloadRef
+from repro.kernel.network import ConversationPeer, SinkPeer
 from repro.programs.base import Workload
 from repro.telemetry import Telemetry
 
@@ -135,6 +136,55 @@ class TestBypasses:
         report = session.run(SOURCE)
         assert session.cache is None
         assert report.verdict is not None
+
+
+class TestCacheEnvBuildsTheMachine:
+    """The key and the machine come from one declaration: a run given
+    only ``cache_env`` is seeded with exactly what its key hashes."""
+
+    SINK = CacheEnv.from_mappings({"/etc/flag": "x"}, {"srv.example:80": ""})
+    TALKER = CacheEnv.from_mappings(
+        {"/etc/flag": "x"}, {"srv.example:80": "hello"}
+    )
+
+    def _machine(self, session, env):
+        """Run SOURCE under ``env``; return the machine it ran on."""
+        built = []
+        machine = session.machine
+
+        def capture(**kwargs):
+            built.append(machine(**kwargs))
+            return built[-1]
+
+        session.machine = capture
+        session.run(SOURCE, cache_env=env)
+        del session.machine
+        return built[0]
+
+    def test_machine_holds_exactly_the_hashed_files_and_peers(self):
+        session = Session()
+        bare = self._machine(session, CacheEnv())
+        hth = self._machine(session, self.SINK)
+        assert set(hth.fs.paths()) - set(bare.fs.paths()) == {"/etc/flag"}
+        assert hth.fs.read_text("/etc/flag") == "x"
+        ip = hth.network.resolve("srv.example")
+        assert set(hth.network._peers) == {(ip, 80)}
+        assert not bare.network._peers
+
+    def test_sink_and_conversation_peers_key_and_build_differently(self):
+        session = _session()
+        sink = self._machine(session, self.SINK)
+        talker = self._machine(session, self.TALKER)
+        assert session.cache.stats.misses == 2
+        assert session.cache.stats.hits == 0
+        conns = [
+            hth.network.connect(hth.network.resolve("srv.example"), 80, "t")
+            for hth in (sink, talker)
+        ]
+        assert isinstance(conns[0].peer, SinkPeer)
+        assert bytes(conns[0].incoming) == b""
+        assert isinstance(conns[1].peer, ConversationPeer)
+        assert bytes(conns[1].incoming) == b"hello"
 
 
 class TestWorkloadCaching:

@@ -148,6 +148,34 @@ buf: .space 32
         assert "assembly error" in capsys.readouterr().err
 
 
+class TestGuestFlags:
+    """--file/--peer/--serve are parsed once for run, profile and submit."""
+
+    @pytest.mark.parametrize("command", ["run", "profile", "submit"])
+    def test_empty_serve_data_is_rejected(self, command, hello_file, capsys):
+        # "" is a sink peer in the cache key; a hang-up peer must not
+        # share that key, so --serve HOST:PORT= is refused outright.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, hello_file, "--serve", "srv.example:80="])
+        assert excinfo.value.code == 2
+        assert "--peer srv.example:80" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--peer", "h:abc"), ("--peer", "h:65536"), ("--peer", "h"),
+        ("--serve", "h:x=data"),
+    ])
+    def test_bad_peer_address_is_rejected(self, hello_file, capsys,
+                                          flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", hello_file, flag, value])
+        assert excinfo.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_max_ticks_zero_is_a_zero_budget(self, hello_file, capsys):
+        assert main(["run", hello_file, "--max-ticks", "0"]) == 0
+        assert "(max-ticks)" in capsys.readouterr().out
+
+
 class TestAuditCommand:
     def test_insecure_binary(self, trojan_file, capsys):
         code = main(["audit", trojan_file])

@@ -3,9 +3,8 @@ of its migration.
 
 The deprecation window is over: the old ``block_cache=`` /
 ``taint_fastpath=`` boolean kwargs are gone from ``HTH``,
-``Workload.run``/``build_machine`` and ``run_monitored``, and
-:func:`fold_legacy_flags` now rejects them with a ``TypeError`` naming
-the ``options=RunOptions(...)`` replacement.
+``Workload.run``/``build_machine`` and ``run_monitored``, which reject
+them as unknown keyword arguments.
 """
 
 import pickle
@@ -13,12 +12,7 @@ import pickle
 import pytest
 
 from repro.core.hth import HTH, run_monitored
-from repro.core.options import (
-    DEFAULT_MAX_TICKS,
-    RunOptions,
-    UNSET,
-    fold_legacy_flags,
-)
+from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
 from repro.isa import assemble
 
 SOURCE = """
@@ -84,37 +78,6 @@ class TestRunOptions:
         assert a is not None and b is not None
         assert a is not b
         assert RunOptions().make_fault_injector() is None
-
-
-class TestFoldLegacyFlags:
-    def test_no_flags_pass_through(self):
-        assert fold_legacy_flags("X", None) == RunOptions()
-        custom = RunOptions(block_cache=False)
-        assert fold_legacy_flags("X", custom) is custom
-
-    def test_legacy_flag_is_an_error(self):
-        with pytest.raises(TypeError, match="block_cache"):
-            fold_legacy_flags("X", None, block_cache=False)
-        with pytest.raises(TypeError, match="taint_fastpath"):
-            fold_legacy_flags("X", None, taint_fastpath=True)
-
-    def test_error_names_every_flag_and_the_callsite(self):
-        with pytest.raises(TypeError) as excinfo:
-            fold_legacy_flags(
-                "Workload.run", None,
-                block_cache=False, taint_fastpath=False,
-            )
-        message = str(excinfo.value)
-        assert "Workload.run" in message
-        assert "block_cache" in message and "taint_fastpath" in message
-        assert "options=RunOptions(" in message
-
-    def test_unset_sentinel_is_not_a_flag(self):
-        options = fold_legacy_flags(
-            "X", RunOptions(block_cache=False),
-            block_cache=UNSET, taint_fastpath=UNSET,
-        )
-        assert options.block_cache is False  # options value preserved
 
 
 class TestLegacyKwargsRemoved:

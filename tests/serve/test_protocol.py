@@ -6,6 +6,8 @@ RunOptions subset and fault-profile scalars), and everything malformed
 must be a typed :class:`ProtocolError`, never a stack trace mid-stream.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.options import DEFAULT_MAX_TICKS, RunOptions
@@ -13,6 +15,8 @@ from repro.faultinject.plan import FaultProfile
 from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
     TERMINAL_KINDS,
+    WIRE_EXEMPT_FIELDS,
+    WIRE_OPTION_FIELDS,
     ProtocolError,
     Submission,
     accepted_event,
@@ -71,6 +75,13 @@ class TestSubmissionRoundTrip:
         with pytest.raises(ProtocolError, match="JSON object"):
             Submission.from_wire(["not", "a", "mapping"])
 
+    @pytest.mark.parametrize("addr", ["h:abc", "h:65536", "h", ":80"])
+    def test_bad_peer_address_is_a_protocol_error(self, addr):
+        wire = Submission(source="main:\n ret\n").to_wire()
+        wire["peers"] = {addr: ""}
+        with pytest.raises(ProtocolError, match="HOST:PORT"):
+            Submission.from_wire(wire)
+
 
 class TestOptionsOnTheWire:
     def test_missing_options_means_defaults(self):
@@ -97,9 +108,23 @@ class TestOptionsOnTheWire:
         assert back.fault_profile.stall_rate == 0.25
         assert back.fault_profile.errno_rate == 0.1
 
+    @pytest.mark.parametrize("wire", [
+        {"max_ticks": "many"}, {"wall_timeout": [1]},
+    ])
+    def test_unconvertible_option_value_is_a_protocol_error(self, wire):
+        with pytest.raises(ProtocolError, match="bad options value"):
+            options_from_wire(wire)
+
     def test_unknown_fault_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown fault"):
             options_from_wire({"fault": {"seed": 1, "blast_radius": 9}})
+
+    def test_every_run_option_is_on_the_wire_or_exempt(self):
+        names = {f.name for f in dataclasses.fields(RunOptions)}
+        on_wire = {name for name, _ in WIRE_OPTION_FIELDS}
+        assert not on_wire & set(WIRE_EXEMPT_FIELDS)
+        assert on_wire | set(WIRE_EXEMPT_FIELDS) == names
+        assert set(options_to_wire(RunOptions())) == on_wire
 
     def test_defaults_survive_an_empty_wire_dict(self):
         options = options_from_wire({})
