@@ -11,9 +11,14 @@ when either property breaks:
   on retired instructions or emitted warnings (they must be
   observationally identical; the exhaustive bit-identical check over
   all workloads lives in tests/harrier/test_blockcache_differential.py);
-* a 4-worker fleet over the full 62-workload sweep is not bit-identical
-  to the serial sweep, or (on hosts with >= :data:`FLEET_WORKERS` CPUs)
-  not at least :data:`FLEET_SPEEDUP` faster;
+* a fleet over the full 62-workload sweep (:data:`FLEET_WORKERS`
+  workers, fewer on smaller hosts) is not bit-identical to the serial
+  sweep, or (on hosts with >= :data:`FLEET_WORKERS` CPUs) not at least
+  :data:`FLEET_SPEEDUP` faster;
+* in a 2-worker ``fork`` cluster sweep, a variant is resolved more than
+  once or a distinct program assembled more than once, counted across
+  the coordinator and both workers (the prepared handoff; structural
+  counts, no wall clock);
 * the provenance evidence recorder costs more than
   :data:`PROVENANCE_OVERHEAD` over a provenance-off run, turning it off
   changes retired instructions or warnings (modulo the ``evidence``
@@ -80,9 +85,10 @@ FASTPATH_SPEEDUP = 1.3
 #: a few percent, so best of 5 ~20-ms runs let one stall decide it.
 FASTPATH_REPS = 15
 
-#: Fleet gate: workers used, required speedup over the serial sweep, and
-#: how many times the 62-workload table is repeated so process spawn and
-#: queue overhead amortize into the measurement.
+#: Fleet gate: workers used (at most one per CPU), required speedup over
+#: the serial sweep, and how many times the 62-workload table is
+#: repeated so process spawn and queue overhead amortize into the
+#: measurement.
 FLEET_WORKERS = 4
 FLEET_SPEEDUP = 2.0
 FLEET_REPS = 3
@@ -218,9 +224,11 @@ def check_fastpath() -> int:
 
 def check_fleet() -> int:
     """Sharded == serial bit-for-bit; >= FLEET_SPEEDUP on real cores."""
+    cpus = os.cpu_count() or 1
+    workers = min(FLEET_WORKERS, cpus)
     refs = workload_refs() * FLEET_REPS
     serial = run_fleet(refs, workers=1)
-    fleet = run_fleet(refs, workers=FLEET_WORKERS)
+    fleet = run_fleet(refs, workers=workers)
     for report in (serial, fleet):
         if report.failures:
             print(
@@ -244,15 +252,14 @@ def check_fleet() -> int:
     )
     print(
         f"perf smoke: fleet serial={serial.wall_seconds * 1000:.0f} ms "
-        f"{FLEET_WORKERS} workers={fleet.wall_seconds * 1000:.0f} ms "
+        f"{workers} workers={fleet.wall_seconds * 1000:.0f} ms "
         f"speedup={speedup:.2f}x ({len(refs)} runs, bit-identical)"
     )
-    cpus = os.cpu_count() or 1
     if cpus < FLEET_WORKERS:
         print(
-            f"note: host has {cpus} CPU(s) < {FLEET_WORKERS} workers; "
-            f"the {FLEET_SPEEDUP}x fleet speedup gate only applies on "
-            "multi-core runners"
+            f"note: host has {cpus} CPU(s) < {FLEET_WORKERS}; the "
+            f"{FLEET_SPEEDUP}x fleet speedup gate only applies to "
+            f"{FLEET_WORKERS} workers on as many CPUs"
         )
         return 0
     if speedup < FLEET_SPEEDUP:
@@ -264,6 +271,78 @@ def check_fleet() -> int:
         return 1
     print(f"ok: fleet sweep scales (>= {FLEET_SPEEDUP}x) and is "
           "bit-identical to serial")
+    return 0
+
+
+def check_fleet_prepare() -> int:
+    """One resolve per variant and one assemble per distinct program in
+    a 2-worker fork cluster sweep, coordinator and workers together."""
+    import multiprocessing
+
+    import repro.core.engine as core_engine
+    import repro.programs.base as programs_base
+    from repro.advers import plan_sweep
+    from repro.core.options import RunOptions
+    from repro.fleet.refs import WorkloadRef
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        print("note: no fork start method on this host; fleet_prepare "
+              "skipped (the prepared handoff is fork-only)")
+        return 0
+    refs = [planned.ref for planned in plan_sweep()]
+    programs = {
+        (w.program_path, w.source) for w in (r.resolve() for r in refs)
+    }
+    ctx = multiprocessing.get_context("fork")
+    resolves, assembles = ctx.Value("i", 0), ctx.Value("i", 0)
+
+    def counted(counter, fn, program=False):
+        # Counters are fork-inherited shared memory, so calls made in
+        # the workers count too.
+        def wrapper(*args, **kwargs):
+            if not program or tuple(args[:2]) in programs:
+                with counter.get_lock():
+                    counter.value += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    patches = [
+        (WorkloadRef, "resolve", counted(resolves, WorkloadRef.resolve)),
+        (core_engine, "assemble",
+         counted(assembles, core_engine.assemble, program=True)),
+        (programs_base, "assemble",
+         counted(assembles, programs_base.assemble, program=True)),
+    ]
+    originals = [(owner, name, getattr(owner, name))
+                 for owner, name, _ in patches]
+    for owner, name, wrapper in patches:
+        setattr(owner, name, wrapper)
+    try:
+        fleet = run_fleet(refs, options=RunOptions(wall_timeout=60.0),
+                          workers=2, shard_by="cluster",
+                          mp_start_method="fork")
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+    print(
+        f"perf smoke: fleet_prepare {len(refs)} variants "
+        f"({len(programs)} distinct programs): resolve={resolves.value} "
+        f"assemble={assembles.value} on 2 fork workers"
+    )
+    if fleet.failures:
+        print(f"FAIL: fleet_prepare sweep had failing runs: "
+              f"{[r.name for r in fleet.failures]}", file=sys.stderr)
+        return 1
+    if resolves.value != len(refs) or assembles.value != len(programs):
+        print(
+            f"FAIL: expected {len(refs)} resolves and {len(programs)} "
+            "assembles — fork workers must run the coordinator's "
+            "prepared workloads, not resolve and assemble them again",
+            file=sys.stderr,
+        )
+        return 1
+    print("ok: every variant resolved once and every program assembled "
+          "once across the coordinator and its workers")
     return 0
 
 
@@ -652,6 +731,7 @@ CHECKS = {
     "block_cache": check_block_cache,
     "fastpath": check_fastpath,
     "fleet": check_fleet,
+    "fleet_prepare": check_fleet_prepare,
     "provenance": check_provenance,
     "cold_path": check_cold_path,
     "superblock": check_superblock,

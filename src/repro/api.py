@@ -134,14 +134,15 @@ class Session:
         peers (:meth:`CacheEnv.seed`) and is hashed into the cache key,
         so the key and the machine come from the same declaration.
         ``setup(hth)`` then runs before the guest; a run with a
-        ``setup`` closure and no ``cache_env`` is opaque to the cache.
+        ``setup`` closure is opaque to the cache, ``cache_env`` or not,
+        because the closure's effects are not in the key.
         """
         if isinstance(program, str):
             program = self.engine.image(path or "/bin/guest", program)
         key = self._cache_key_for(
             options if options is not None else self.options,
             telemetry, analyzer,
-            opaque_setup=(setup is not None and cache_env is None),
+            opaque_setup=setup is not None,
             key_fn=lambda: run_key(
                 program,
                 options if options is not None else self.options,

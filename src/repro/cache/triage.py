@@ -22,6 +22,7 @@ cache keys are: two processes must profile the same image identically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -171,6 +172,17 @@ def _feature_hash(feature: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@functools.lru_cache(maxsize=1024)
+def _feature_votes(feature: str) -> Tuple[int, ...]:
+    """The ±1 vote of ``feature`` on each of the 64 bits, low bit first.
+
+    Memoized: the opcode n-grams of a sweep's variants come from a few
+    hundred distinct features, and every image repeats most of them.
+    """
+    bits = _feature_hash(feature)
+    return tuple(1 if bits >> bit & 1 else -1 for bit in range(64))
+
+
 def simhash64(text: Sequence[Instruction], ngram: int = _NGRAM) -> int:
     """64-bit simhash over opcode n-grams.
 
@@ -191,12 +203,10 @@ def simhash64(text: Sequence[Instruction], ngram: int = _NGRAM) -> int:
             weights[feature] = weights.get(feature, 0) + 1
     vector = [0] * 64
     for feature, weight in weights.items():
-        bits = _feature_hash(feature)
-        for bit in range(64):
-            if bits & (1 << bit):
-                vector[bit] += weight
-            else:
-                vector[bit] -= weight
+        vector = [
+            total + weight * vote
+            for total, vote in zip(vector, _feature_votes(feature))
+        ]
     value = 0
     for bit in range(64):
         if vector[bit] > 0:
@@ -205,7 +215,7 @@ def simhash64(text: Sequence[Instruction], ngram: int = _NGRAM) -> int:
 
 
 def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1")
+    return ((a ^ b) & 0xFFFFFFFFFFFFFFFF).bit_count()
 
 
 def similarity(a: int, b: int) -> float:

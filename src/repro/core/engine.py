@@ -75,6 +75,20 @@ class EngineCache:
         re-assembly and keeps ``id(image.text)`` — the block-cache
         store's layout key — stable across the session's runs.
         """
+        template = self.template(path, source)
+        return replace(
+            template,
+            data=dict(template.data),
+            symbols=dict(template.symbols),
+        )
+
+    def template(self, path: str, source: str) -> Image:
+        """The memoized template image itself (assembled on first use).
+
+        Callers must not mutate it: :meth:`image` hands machines copies,
+        while the fleet coordinator hands templates to workers, which
+        :meth:`adopt` them.
+        """
         key = (path, source)
         template = self._images.get(key)
         if template is None:
@@ -83,11 +97,14 @@ class EngineCache:
             self._images.move_to_end(key)
             while len(self._images) > self.max_images:
                 self._images.popitem(last=False)
-        return replace(
-            template,
-            data=dict(template.data),
-            symbols=dict(template.symbols),
-        )
+        return template
+
+    def adopt(self, path: str, source: str, template: Image) -> None:
+        """Seed the memo with a template assembled elsewhere from this
+        exact ``(path, source)`` — the image :meth:`image` would build.
+        A template already memoized for the key is kept, so the layout
+        keys of earlier runs stay valid."""
+        self._images.setdefault((path, source), template)
 
     def stats(self) -> Dict[str, object]:
         """Aggregate warm-cache statistics (sweep diagnostics)."""

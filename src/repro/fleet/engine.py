@@ -18,6 +18,14 @@ Determinism contract
 * Wall-clock facts (``elapsed``, ``wall_seconds``) and scheduling facts
   (``worker``, ``attempts``) live outside the per-run report dicts.
 
+Prepare once: with ``cluster`` sharding the coordinator resolves and
+assembles every task to order the shards.  Under ``fork`` it hands each
+worker the :class:`~repro.fleet.worker.Prepared` items of its own shard
+(process args, inherited rather than pickled) and keeps none, so each
+workload is resolved once and each distinct program assembled once per
+sweep.  ``workers=1``, ``spawn`` and the other strategies resolve in the
+worker — the reference path the handoff is checked against.
+
 Failure containment: a worker that dies without delivering its sentinel
 (segfault, OOM kill) costs only its unfinished tasks — the coordinator
 synthesizes error records for them and the fleet completes.
@@ -39,11 +47,12 @@ import signal
 import threading
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import Session
 from repro.cache.store import VerdictCache, merge_cache_stats
 from repro.cache.triage import cluster_order, simhash64
+from repro.core.engine import EngineCache
 from repro.core.options import RunOptions
 from repro.fleet.merge import merged_telemetry
 from repro.fleet.refs import FleetTask, WorkloadRef, make_tasks
@@ -51,6 +60,7 @@ from repro.fleet.report import CANCELLED_PREFIX, FleetReport, FleetRunRecord
 from repro.fleet.worker import (
     DEFAULT_BACKOFF,
     DEFAULT_MAX_RETRY_WALL,
+    Prepared,
     run_task_with_retry,
     worker_main,
 )
@@ -63,7 +73,10 @@ _POLL_INTERVAL = 0.1
 
 
 def shard(
-    tasks: Sequence[FleetTask], workers: int, shard_by: str = "interleave"
+    tasks: Sequence[FleetTask],
+    workers: int,
+    shard_by: str = "interleave",
+    prepared: Optional[Dict[int, Prepared]] = None,
 ) -> List[List[FleetTask]]:
     """Split tasks into per-worker shards (some may be empty).
 
@@ -79,6 +92,11 @@ def shard(
       near-duplicate variants share a worker and its warm caches.
       Purely a scheduling choice — the merged report is still ordered
       by task index, so results are unchanged.
+
+    ``prepared``, when given, receives what the ``cluster`` pass
+    resolved and assembled, as :class:`Prepared` items by task index
+    (the fork handoff, see :func:`run_fleet`); other strategies build
+    none.
     """
     if shard_by not in SHARD_STRATEGIES:
         raise ValueError(
@@ -87,7 +105,11 @@ def shard(
         )
     shards: List[List[FleetTask]] = [[] for _ in range(workers)]
     if shard_by in ("chunk", "cluster"):
-        ordered = cluster_tasks(tasks) if shard_by == "cluster" else tasks
+        ordered = tasks
+        if shard_by == "cluster":
+            ordered, items = _prepare_cluster(tasks)
+            if prepared is not None:
+                prepared.update(items)
         per, extra = divmod(len(ordered), workers)
         start = 0
         for i in range(workers):
@@ -104,23 +126,38 @@ def shard(
     return shards
 
 
-def cluster_tasks(tasks: Sequence[FleetTask]) -> List[FleetTask]:
-    """Tasks reordered so statically-similar workloads are adjacent.
+def _prepare_cluster(
+    tasks: Sequence[FleetTask],
+) -> Tuple[List[FleetTask], Dict[int, Prepared]]:
+    """The cluster order, and what building it resolved and assembled.
 
     Each task's workload is resolved and assembled (deterministic, no
     execution) and its triage simhash drives a nearest-neighbour chain.
-    A task whose workload will not resolve keeps simhash 0 — it still
-    lands in a shard, and the failure surfaces as a normal run record.
+    A task whose workload will not resolve or assemble keeps simhash 0
+    and gets no :class:`Prepared` item — it still lands in a shard, and
+    its worker's own resolve surfaces the failure as a normal run
+    record.  Templates come from one assemble memo, so tasks with one
+    program share one template; the memo itself dies on return.
     """
+    engine = EngineCache()
     pairs = []
+    prepared: Dict[int, Prepared] = {}
     for task in tasks:
         try:
-            image = task.ref.resolve().image()
+            workload = task.ref.resolve()
+            image = engine.template(workload.program_path, workload.source)
         except Exception:
             pairs.append((task, 0))
         else:
+            prepared[task.index] = Prepared(workload, image)
             pairs.append((task, simhash64(image.text)))
-    return cluster_order(pairs)
+    return cluster_order(pairs), prepared
+
+
+def cluster_tasks(tasks: Sequence[FleetTask]) -> List[FleetTask]:
+    """Tasks reordered so statically-similar workloads are adjacent
+    (see :func:`_prepare_cluster`; the prepared items are dropped)."""
+    return _prepare_cluster(tasks)[0]
 
 
 def _normalize_tasks(
@@ -286,6 +323,36 @@ def _collect(
     return ordered_records, ordered_parts
 
 
+def _start_workers(
+    ctx,
+    shards: List[List[FleetTask]],
+    prepared: Dict[int, Prepared],
+    args: tuple,
+) -> tuple:
+    """Start one worker per non-empty shard, handing each the prepared
+    items of its own tasks.  The coordinator keeps no reference to
+    them: each item is popped from ``prepared`` (every task is in some
+    shard, so it ends up empty) and ``Process.start`` drops its args."""
+    procs: Dict[int, object] = {}
+    assigned: Dict[int, List[FleetTask]] = {}
+    for wid, worker_tasks in enumerate(shards):
+        if not worker_tasks:
+            continue
+        mine = {
+            t.index: prepared.pop(t.index)
+            for t in worker_tasks if t.index in prepared
+        }
+        proc = ctx.Process(
+            target=worker_main,
+            args=(wid, worker_tasks, *args, mine or None),
+            daemon=True,
+        )
+        proc.start()
+        procs[wid] = proc
+        assigned[wid] = worker_tasks
+    return procs, assigned
+
+
 def run_fleet(
     work: Sequence[Union[FleetTask, WorkloadRef]],
     options: Optional[RunOptions] = None,
@@ -334,23 +401,22 @@ def run_fleet(
                 cache_dir=cache_dir,
             )
         else:
-            shards = shard(tasks, workers, shard_by)
+            # Only fork workers inherit the prepared items: any other
+            # start method would pickle them, and a Workload is not
+            # picklable.  Those workers resolve their own tasks.
+            prepared: Dict[int, Prepared] = {}
+            shards = shard(
+                tasks, workers, shard_by,
+                prepared=(
+                    prepared if ctx.get_start_method() == "fork" else None
+                ),
+            )
             result_queue = ctx.Queue()
-            procs: Dict[int, object] = {}
-            assigned: Dict[int, List[FleetTask]] = {}
-            for wid, worker_tasks in enumerate(shards):
-                if not worker_tasks:
-                    continue
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, worker_tasks, result_queue,
-                          max_retries, backoff, stop_event,
-                          max_retry_wall, cache_dir),
-                    daemon=True,
-                )
-                proc.start()
-                procs[wid] = proc
-                assigned[wid] = worker_tasks
+            procs, assigned = _start_workers(
+                ctx, shards, prepared,
+                args=(result_queue, max_retries, backoff, stop_event,
+                      max_retry_wall, cache_dir),
+            )
             try:
                 records, cache_parts = _collect(
                     procs, assigned, result_queue, stop_event

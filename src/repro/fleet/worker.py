@@ -21,6 +21,14 @@ index, and attempt number — not from ``random`` — so a chaos sweep
 replays with a bit-identical schedule.  ``max_retry_wall`` caps the
 *planned* total of those delays per task; because the plan is
 deterministic, where a sweep gives up is reproducible as well.
+
+Prepared handoff: under the ``fork`` start method with ``cluster``
+sharding, the coordinator has already resolved and assembled every task
+to order the shards.  It hands each worker its shard's results as
+:class:`Prepared` items (fork passes ``Process`` args without pickling,
+so the non-picklable :class:`Workload` never crosses a pickle); the
+worker's Session adopts the template image and runs the workload as
+resolved.  Every other path resolves in the worker, as before.
 """
 
 from __future__ import annotations
@@ -28,12 +36,14 @@ from __future__ import annotations
 import time
 import traceback
 import zlib
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.api import Session
 from repro.cache.store import VerdictCache
 from repro.core.report import RunReport
 from repro.fleet.refs import FleetTask
+from repro.isa.image import Image
+from repro.programs.base import Workload
 
 #: Exponential backoff base between retry attempts, seconds.
 DEFAULT_BACKOFF = 0.05
@@ -43,6 +53,14 @@ DEFAULT_MAX_RETRY_WALL = 30.0
 RETRY_WATCHDOG = "watchdog"
 RETRY_MONITOR_FAULT = "monitor-fault"
 RETRY_ERROR = "error"
+
+
+class Prepared(NamedTuple):
+    """A task's workload as the coordinator resolved it, and the
+    template image its program assembles to."""
+
+    workload: Workload
+    image: Image
 
 
 def retry_delay(
@@ -83,6 +101,7 @@ def run_task_with_retry(
     max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
     sleep: Callable[[float], None] = time.sleep,
     runner: Optional[Callable[..., RunReport]] = None,
+    prepared: Optional[Prepared] = None,
 ) -> dict:
     """Run one task (with retries) and return its wire record.
 
@@ -91,6 +110,10 @@ def run_task_with_retry(
     default runs through the session's warm engine.  Retries stop early
     once the *planned* backoff total would exceed ``max_retry_wall``
     (a deterministic budget — see :func:`retry_delay`).
+
+    ``prepared`` (the fork handoff) replaces ``task.ref.resolve()``: its
+    workload runs as is, and its template image seeds the session's
+    assemble memo.  Every attempt still builds a fresh machine.
     """
     started = time.perf_counter()
     retries: List[str] = []
@@ -100,10 +123,16 @@ def run_task_with_retry(
     ok: Optional[bool] = None
 
     workload = None
-    try:
-        workload = task.ref.resolve()
-    except Exception:
-        error = traceback.format_exc()
+    if prepared is not None:
+        workload = prepared.workload
+        session.engine.adopt(
+            workload.program_path, workload.source, prepared.image
+        )
+    else:
+        try:
+            workload = task.ref.resolve()
+        except Exception:
+            error = traceback.format_exc()
 
     if runner is None:
         runner = lambda w, o, t: session.run_workload(  # noqa: E731
@@ -169,6 +198,7 @@ def worker_main(
     stop_event=None,
     max_retry_wall: float = DEFAULT_MAX_RETRY_WALL,
     cache_dir: Optional[str] = None,
+    prepared: Optional[Dict[int, Prepared]] = None,
 ) -> None:
     """Process entrypoint: drain a shard, stream records, then a sentinel.
 
@@ -187,7 +217,12 @@ def worker_main(
     its shard, and sends its sentinel — the coordinator synthesizes
     ``cancelled`` records for the skipped tasks and marks the fleet
     report partial.
+
+    ``prepared`` maps task index to the coordinator's :class:`Prepared`
+    item (fork only; see the module docstring).  Each item is dropped
+    once its task has run; a task without one resolves here.
     """
+    prepared = prepared if prepared is not None else {}
     session = Session(
         cache=VerdictCache(disk_dir=cache_dir) if cache_dir else None
     )
@@ -201,6 +236,7 @@ def worker_main(
             max_retries=max_retries,
             backoff=backoff,
             max_retry_wall=max_retry_wall,
+            prepared=prepared.pop(task.index, None),
         )
         queue.put(record)
     queue.put({

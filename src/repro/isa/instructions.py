@@ -91,7 +91,7 @@ ALU_OPCODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reg:
     """A register operand."""
 
@@ -104,7 +104,7 @@ class Reg:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imm:
     """An immediate operand.
 
@@ -126,7 +126,7 @@ class Imm:
         return f"${self.value:#x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mem:
     """A base-plus-displacement memory operand ``[reg + offset]``."""
 
@@ -146,7 +146,7 @@ class Mem:
 Operand = Union[Reg, Imm, Mem]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded instruction.
 

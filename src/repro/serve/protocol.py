@@ -76,13 +76,21 @@ class ProtocolError(ValueError):
 # RunOptions <-> wire
 
 
+def _wire_bool(value: object) -> bool:
+    """Decode a boolean option: only a JSON ``true``/``false`` counts
+    (``bool("false")`` would silently turn a string into ``True``)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
 #: The :class:`RunOptions` fields a submission carries as themselves,
-#: with the type each decodes through — the one list the encoder, the
+#: with the decoder each goes through — the one list the encoder, the
 #: decoder and its unknown-key check all read.
 WIRE_OPTION_FIELDS = (
-    ("block_cache", bool), ("taint_fastpath", bool), ("provenance", bool),
-    ("rete", bool), ("metrics", bool), ("max_ticks", int),
-    ("wall_timeout", float), ("cache", bool),
+    ("block_cache", _wire_bool), ("taint_fastpath", _wire_bool),
+    ("provenance", _wire_bool), ("rete", _wire_bool), ("metrics", _wire_bool),
+    ("max_ticks", int), ("wall_timeout", float), ("cache", _wire_bool),
 )
 
 #: Fields that do not travel as themselves: policy and HarrierConfig
@@ -122,13 +130,17 @@ def options_from_wire(data: Optional[Mapping[str, object]]) -> RunOptions:
     unknown = set(data) - set(decoders)
     if unknown:
         raise ProtocolError(f"unknown options field(s): {sorted(unknown)}")
-    try:
-        options = RunOptions(**{
-            name: decoders[name](value)
-            for name, value in data.items() if value is not None
-        })
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad options value: {exc}") from None
+    decoded = {}
+    for name, value in data.items():
+        if value is None:
+            continue
+        try:
+            decoded[name] = decoders[name](value)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"bad options value for {name!r}: {exc}"
+            ) from None
+    options = RunOptions(**decoded)
     if fault is not None:
         from repro.faultinject.plan import FaultProfile
 

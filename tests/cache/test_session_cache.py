@@ -125,9 +125,16 @@ class TestBypasses:
         session.run(SOURCE, setup=seed)
         assert session.cache.stats.bypass == {"opaque-setup": 1}
 
+        # A setup closure stays opaque next to a cache_env: its effects
+        # are not in the key, so it must never be answered from cache.
         env = CacheEnv.from_mappings({"/etc/flag": "x"}, {})
         session.run(SOURCE, setup=seed, cache_env=env)
-        hit = session.run(SOURCE, setup=seed, cache_env=env)
+        session.run(SOURCE, setup=seed, cache_env=env)
+        assert session.cache.stats.bypass == {"opaque-setup": 3}
+        assert session.cache.stats.hits == 0
+
+        session.run(SOURCE, cache_env=env)
+        hit = session.run(SOURCE, cache_env=env)
         assert session.cache.stats.hits == 1
         assert hit.program  # a real report came back
 

@@ -206,3 +206,88 @@ class TestClusterOrder:
 
     def test_empty(self):
         assert cluster_order([]) == []
+
+
+#: ``simhash64`` of every registry image (name -> hex), recorded before
+#: the per-feature vote memo and ``bit_count`` Hamming distance: both
+#: are pure speedups, so every value must stay bit-identical.
+REGISTRY_SIMHASHES = {
+    "Binary -> File: User filename": 0x75951258085ecb4a,
+    "Binary -> File: hardcode filename": 0xf59412581c7e8b48,
+    "Binary -> File: remote filename": 0xf794325a087fcb40,
+    "Binary -> Socket: Hardcoded address": 0x259c13589c6e8340,
+    "Binary -> Socket: Hardcoded address (server)": 0x659c13589c7e8340,
+    "Binary -> Socket: User address": 0x21951310dcb6d348,
+    "ElmExploit": 0xf791b25a087fcb40,
+    "File -> File: Hardcoded, Hardcoded": 0xf59412529e7e8948,
+    "File -> File: Hardcoded, User input": 0xf594165a9e5e8948,
+    "File -> File: User input, Hardcoded": 0xf59d125a1e7ecf48,
+    "File -> File: User input, User Input": 0xf59516581e5ecb48,
+    "File -> socket: Hardcoded file (server)": 0x659413589c7e8348,
+    "File -> socket: Hardcoded, Hardcoded": 0x759c13589c7e8b48,
+    "File -> socket: Hardcoded, User input": 0x01951310dc369348,
+    "File -> socket: User input file (server)": 0xf59d13581c7ecb48,
+    "File -> socket: User input, Hardcoded": 0x359d12581c7ecb48,
+    "File -> socket: User input, User Input": 0x11951310dcb6cb48,
+    "Hardcode": 0x7584905a98de4140,
+    "Hardware -> File: Hardcode filename": 0xb59c07507cbfe568,
+    "Hardware -> File: User filename": 0x211507504c9fed48,
+    "Infrequent execve": 0x3085b152987e0740,
+    "PWSteal.Tarno.Q": 0xff95335b88ffcf40,
+    "Phatbot": 0xb9b7735a90f74f50,
+    "Remote execve": 0xf795325a807fcf40,
+    "Sendmail Trojan": 0xfb90325a80ffcb72,
+    "Socket -> File: Hardcoded, Hardcoded": 0x759d13589c7fcb40,
+    "Socket -> File: Hardcoded, User input": 0x359512589c7ecb48,
+    "Socket -> File: Server conn, Hardcoded file": 0x759413589c7ecb40,
+    "Socket -> File: Server conn, User file": 0x759513589c7ecb48,
+    "Socket -> File: User input, Hardcoded": 0x21951310dc36cb48,
+    "Socket -> File: User input, User Input": 0x11951310dcb6cb48,
+    "TCP Wrappers Trojan": 0xbdee245b98fe0f11,
+    "User input": 0xd481f05800974f80,
+    "W32.Mytob.J@mm": 0xff97325a88fecb40,
+    "allocator": 0x3df1ae6db2c02915,
+    "awk": 0xf987725a88de4352,
+    "bc": 0xf590e05aa87fc340,
+    "column": 0xb9d77a5a9cd2115d,
+    "diff": 0xfd95b25a887ecf40,
+    "g++": 0xef96b35a907ecf50,
+    "grabem": 0xff95325b807fcf40,
+    "lodeight": 0x7f93325a007ecf40,
+    "loop forker": 0xb1940040287a4040,
+    "ls": 0xfb97725a98f60350,
+    "make": 0xff96325a9a7ec350,
+    "mw2.2.1": 0xb590725a087ec748,
+    "mw2.2.1-mod": 0xb590725a087ec748,
+    "nlspath": 0x551c130a3cdf6439,
+    "pico": 0xff97b25a88decf42,
+    "pma": 0xfdb572538a77cf40,
+    "procex": 0xff97325a927ecb50,
+    "pwsafe": 0xfb97725a98f60350,
+    "pwunsafe": 0xff97325b807ecf40,
+    "superforker": 0xbe94324ab0774b40,
+    "tail": 0xfe97725a88f74b40,
+    "tree forker": 0x24800c203c600980,
+    "uttt": 0xf790325a887f4742,
+    "uttt-trojan": 0xf790325a807fcf40,
+    "vixie crontab": 0xe790b25a107ecb40,
+    "vundo": 0x3df1ae6db2c02915,
+    "wc": 0xfbd5325a08ffcf4a,
+    "xeyes": 0x35b52a77bae26910,
+}
+
+
+class TestSimhashPinned:
+    def test_every_registry_image_keeps_its_simhash(self):
+        from repro.programs.registry import entries
+
+        got = {
+            w.name: simhash64(w.image().text) for _, w in entries()
+        }
+        assert got == REGISTRY_SIMHASHES
+
+    def test_hamming_counts_differing_low_64_bits(self):
+        assert hamming64(0, 0) == 0
+        assert hamming64(0, 0xFFFFFFFFFFFFFFFF) == 64
+        assert hamming64(0b1011, 0b0001) == 2
+        assert hamming64(1 << 64, 0) == 0  # beyond 64 bits is ignored

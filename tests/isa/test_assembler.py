@@ -1,10 +1,13 @@
 """Assembler tests: syntax, layout, symbols, relocations, basic blocks."""
 
+import pickle
+
 import pytest
 
 from repro.isa import (
     AssemblyError,
     Imm,
+    Instruction,
     Mem,
     Opcode,
     Reg,
@@ -227,3 +230,21 @@ def test_image_size_and_repr():
     assert img.defines("main")
     assert not img.defines("ghost")
     assert img.exported_symbols() == {"main": 0, "b": 1}
+
+
+@pytest.mark.parametrize("value", [
+    Reg("eax"),
+    Imm(7),
+    Imm(0, symbol="msg"),
+    Mem("ebp", -4),
+    Instruction(Opcode.MOV, Reg("eax"), Imm(1, symbol="msg"), line=3),
+    Instruction(Opcode.RET),
+])
+def test_isa_value_types_are_slotted_and_pickle(value):
+    # Slots keep the frozen value types small (a sweep holds thousands
+    # of instructions per worker); they must still pickle round-trip.
+    assert not hasattr(value, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol=protocol))
+        assert back == value and type(back) is type(value)
+        assert hash(back) == hash(value)

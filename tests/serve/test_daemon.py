@@ -280,6 +280,27 @@ class TestBackpressure:
         assert "HOST:PORT" in rejected["detail"]
         assert admitted == 0
 
+    def test_non_boolean_option_is_rejected_before_queueing(self, tmp_path):
+        async def main():
+            async with daemon(tmp_path) as d:
+                reader, writer = await asyncio.open_unix_connection(
+                    d.unix_path
+                )
+                bad = {"source": "main:\n ret\n",
+                       "options": {"block_cache": "false"}}
+                writer.write((json.dumps(bad) + "\n").encode())
+                await writer.drain()
+                line = await reader.readline()
+                writer.close()
+                return (json.loads(line),
+                        d.metrics.total("serve_admitted_total"))
+
+        rejected, admitted = run(main())
+        assert rejected["kind"] == "rejected"
+        assert rejected["reason"] == "invalid-submission"
+        assert "'block_cache'" in rejected["detail"]
+        assert admitted == 0
+
 
 # ---------------------------------------------------------------------------
 # HTTP front

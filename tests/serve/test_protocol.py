@@ -115,6 +115,17 @@ class TestOptionsOnTheWire:
         with pytest.raises(ProtocolError, match="bad options value"):
             options_from_wire(wire)
 
+    @pytest.mark.parametrize("name", [
+        name for name, _ in WIRE_OPTION_FIELDS
+        if isinstance(getattr(RunOptions(), name), bool)
+    ])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_boolean_options_accept_only_json_booleans(self, name, value):
+        with pytest.raises(ProtocolError, match="bad options value"):
+            options_from_wire({name: value})
+        for flag in (True, False):
+            assert getattr(options_from_wire({name: flag}), name) is flag
+
     def test_unknown_fault_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown fault"):
             options_from_wire({"fault": {"seed": 1, "blast_radius": 9}})
